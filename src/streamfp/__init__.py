@@ -7,6 +7,15 @@ similarities drive Retain-Drop rehearsal-buffer updates. A gated bank of
 frozen MLPs refines the fingerprints between updates.
 """
 
+import os
+
+# BLAS reads its thread count when NumPy is first imported, so the bound
+# from STREAMFP_THREADS (default 1, determinism first) is set before any
+# submodule imports NumPy. A variable set explicitly wins. This has no
+# effect if NumPy was imported before streamfp.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, os.environ.get("STREAMFP_THREADS", "1"))
+
 __version__ = "0.1.0"
 
 from .core_math import (

@@ -2,14 +2,9 @@
 
 Subcommands: run, verify, bench, dump-config. All randomness flows from
 a single master seed through named sub-streams; STREAMFP_THREADS bounds
-worker threads (default 1, determinism first).
+BLAS worker threads (default 1, determinism first; set in the package's
+``__init__``).
 """
-
-import os
-
-_threads = os.environ.get("STREAMFP_THREADS", "1")
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, _threads)
 
 import argparse
 import configparser

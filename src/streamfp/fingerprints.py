@@ -7,11 +7,12 @@ weights receive gradients; the MLP bank is frozen at construction.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core_math import gelu, gelu_grad, softmax, top_k
+from .core_math import gelu, gelu_grad
 
 WEIGHTS_MAGIC = b"SFPW"
 WEIGHTS_VERSION = 1
@@ -126,21 +127,29 @@ def save_mlp_weights(path, keys, values):
 
 
 def load_mlp_weights(path):
-    """Read a frozen MLP bank written by :func:`save_mlp_weights`."""
+    """Read a frozen MLP bank written by :func:`save_mlp_weights`.
+
+    A short, overlong or otherwise corrupt file raises ``ValueError``
+    naming the file.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != WEIGHTS_MAGIC:
-            raise ValueError(f"bad magic {magic!r} in weights file {path}")
-        version, r, d = struct.unpack("<III", fh.read(12))
-        if version != WEIGHTS_VERSION:
-            raise ValueError(f"unsupported weights version {version}")
-        keys = np.empty((r, d, d), dtype=np.float64)
-        values = np.empty((r, d, d), dtype=np.float64)
-        mat_bytes = 4 * d * d
-        for i in range(r):
-            keys[i] = np.frombuffer(fh.read(mat_bytes), dtype="<f4").reshape(d, d)
-            values[i] = np.frombuffer(fh.read(mat_bytes), dtype="<f4").reshape(d, d)
-    return keys, values
+        data = fh.read()
+    magic, header = data[:4], data[4:16]
+    if magic != WEIGHTS_MAGIC:
+        raise ValueError(f"bad magic {magic!r} in weights file {path}")
+    if len(header) != 12:
+        raise ValueError(f"weights file {path} is truncated inside its header")
+    version, r, d = struct.unpack("<III", header)
+    if version != WEIGHTS_VERSION:
+        raise ValueError(f"unsupported weights version {version} in weights file {path}")
+    payload, expected = len(data) - 16, 2 * r * 4 * d * d
+    if payload != expected:
+        raise ValueError(
+            f"weights file {path} has {payload} payload bytes, "
+            f"expected {expected} for R={r}, D={d}"
+        )
+    mats = np.frombuffer(data, dtype="<f4", offset=16).reshape(r, 2, d, d)
+    return mats[:, 0].astype(np.float64), mats[:, 1].astype(np.float64)
 
 
 def aggregate(pool):
@@ -153,7 +162,8 @@ def gate_forward(pool, params, r_select=None):
 
     The gate input is the mean over the length dimension of each
     fingerprint, projected through the gate matrix; the top ``r_select``
-    scores are kept and softmaxed into mixing weights.
+    scores (ties to the lower expert index) are kept and softmaxed into
+    mixing weights.
 
     Returns:
         (W, I): both (N, r_select); rows of W sum to 1.
@@ -165,46 +175,69 @@ def gate_forward(pool, params, r_select=None):
         raise ValueError(f"r_select={r_select} out of range [1, {r_total}]")
     pooled = pool.weights.mean(axis=1)  # (N, D)
     scores = pooled @ params.gate  # (N, R)
-    n = pool.count
-    mix = np.empty((n, r_select), dtype=np.float64)
-    idx = np.empty((n, r_select), dtype=np.int64)
-    for i in range(n):
-        vals, order = top_k(scores[i], r_select)
-        mix[i] = softmax(vals)
-        idx[i] = order
-    return mix, idx
+    # row-wise core_math.top_k and softmax, with the same arithmetic
+    idx = np.argsort(-scores, axis=1, kind="stable")[:, :r_select]
+    vals = np.take_along_axis(scores, idx, axis=1)
+    e = np.exp(vals - vals.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True), idx
 
 
-def _expert_outputs(pool, params):
-    """Per-expert tokenwise MLP outputs, shape (R, N, L_p, D)."""
-    outs = []
-    pre = []
+def _token_matmul(x, w):
+    """``x @ w`` for x of shape (N, L_p, D) as one (N*L_p, D) x (D, D) GEMM;
+    NumPy runs the stacked form as N separate small products."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape)
+
+
+class AttuneCache(NamedTuple):
+    """What :func:`attune_backward` reuses from the forward pass."""
+
+    mix: np.ndarray  # (N, r_select) gate mixing weights
+    idx: np.ndarray  # (N, r_select) selected expert indices
+    expert_out: np.ndarray  # (R, N, L_p, D) expert outputs
+    pre_act: np.ndarray  # (R, N, L_p, D) pre-GELU activations
+
+
+def _expert_outputs(pool, params, keep_pre_act):
+    """Per-expert tokenwise MLP outputs, shape (R, N, L_p, D), and the
+    pre-GELU activations of the same shape if ``keep_pre_act``, else None."""
+    shape = (params.num_experts,) + pool.weights.shape
+    outs = np.empty(shape)
+    pre = np.empty(shape) if keep_pre_act else None
     for r in range(params.num_experts):
-        h = pool.weights @ params.keys[r].T  # (N, L_p, D)
-        outs.append(gelu(h) @ params.values[r].T)
-        pre.append(h)
-    return np.stack(outs), np.stack(pre)
+        h = _token_matmul(pool.weights, params.keys[r].T)
+        outs[r] = _token_matmul(gelu(h), params.values[r].T)
+        if keep_pre_act:
+            pre[r] = h
+    return outs, pre
 
 
-def attune(pool, params, r_select=None):
+def attune(pool, params, r_select=None, *, with_cache=False):
     """Refine fingerprints through the gated frozen-MLP bank.
 
     Each token of fingerprint n becomes the gate-weighted convex
     combination of its selected experts' outputs; the output shape equals
     the input shape (N, L_p, D).
+
+    With ``with_cache`` the result is ``(out, cache)``: an
+    :class:`AttuneCache` holding the gate decision, the expert outputs and
+    the pre-GELU activations, for :func:`attune_backward` to reuse instead
+    of repeating the forward. It stays valid only while ``pool``,
+    ``params`` and ``r_select`` are unchanged.
     """
     if pool.dim != params.dim:
         raise ValueError(f"pool dim {pool.dim} does not match MLP dim {params.dim}")
     mix, idx = gate_forward(pool, params, r_select)
-    expert_out, _ = _expert_outputs(pool, params)
+    expert_out, pre_act = _expert_outputs(pool, params, keep_pre_act=with_cache)
     out = np.zeros_like(pool.weights)
     rows = np.arange(pool.count)
     for j in range(mix.shape[1]):
         out += mix[:, j, None, None] * expert_out[idx[:, j], rows]
+    if with_cache:
+        return out, AttuneCache(mix, idx, expert_out, pre_act)
     return out
 
 
-def attune_backward(pool, params, upstream, r_select=None):
+def attune_backward(pool, params, upstream, r_select=None, cache=None):
     """Analytic gradients of a scalar loss through :func:`attune`.
 
     The top-k index selection is treated as constant (straight-through):
@@ -214,6 +247,10 @@ def attune_backward(pool, params, upstream, r_select=None):
 
     Args:
         upstream: dLoss/dOutput, shape (N, L_p, D).
+        cache: the :class:`AttuneCache` from ``attune(pool, params,
+            r_select, with_cache=True)`` on the same, unchanged pool and
+            params. The result is the same with or without it; without
+            it the gate decision and expert outputs are recomputed.
 
     Returns:
         (grad_pool, grad_gate) with shapes (N, L_p, D) and (D, R).
@@ -223,8 +260,11 @@ def attune_backward(pool, params, upstream, r_select=None):
         raise ValueError(
             f"upstream shape {upstream.shape} does not match pool {pool.weights.shape}"
         )
-    mix, idx = gate_forward(pool, params, r_select)
-    expert_out, pre_act = _expert_outputs(pool, params)
+    if cache is None:
+        mix, idx = gate_forward(pool, params, r_select)
+        expert_out, pre_act = _expert_outputs(pool, params, keep_pre_act=True)
+    else:
+        mix, idx, expert_out, pre_act = cache
     n, r_sel = mix.shape
     rows = np.arange(n)
     lp = pool.length
@@ -249,7 +289,7 @@ def attune_backward(pool, params, upstream, r_select=None):
             coef += np.where(idx[:, j] == r, mix[:, j], 0.0)
         if not np.any(coef):
             continue
-        d_act = upstream @ params.values[r]  # dL/d gelu(h)
+        d_act = _token_matmul(upstream, params.values[r])  # dL/d gelu(h)
         d_pre = d_act * gelu_grad(pre_act[r])
-        grad_pool += coef[:, None, None] * (d_pre @ params.keys[r])
+        grad_pool += coef[:, None, None] * _token_matmul(d_pre, params.keys[r])
     return grad_pool, grad_gate

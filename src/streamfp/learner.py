@@ -8,6 +8,7 @@ fingerprints and gate receive real gradients through the loss.
 """
 
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -168,18 +169,29 @@ def write_embedding_file(path, embeddings, labels):
 
 
 def read_embedding_file(path):
+    """Read a file written by :func:`write_embedding_file`; a short,
+    overlong or otherwise corrupt file raises ``ValueError`` naming it."""
     with open(path, "rb") as fh:
         if fh.read(4) != EMBED_MAGIC:
             raise ValueError(f"bad magic in embedding file {path}")
-        version, n, tokens, dim = struct.unpack("<IQII", fh.read(20))
+        header = fh.read(20)
+        if len(header) != 20:
+            raise ValueError(f"embedding file {path} is truncated inside its header")
+        version, n, tokens, dim = struct.unpack("<IQII", header)
         if version != EMBED_VERSION:
-            raise ValueError(f"unsupported embedding file version {version}")
-        payload = fh.read(4 * n * tokens * dim)
-        if len(payload) != 4 * n * tokens * dim:
-            raise ValueError("embedding file truncated")
-        emb = np.frombuffer(payload, dtype="<f4").reshape(n, tokens, dim).astype(np.float64)
-        labels = np.frombuffer(fh.read(4 * n), dtype="<u4").astype(np.int64)
-    return emb, labels
+            raise ValueError(f"unsupported embedding file version {version} in {path}")
+        emb_bytes, label_bytes = 4 * n * tokens * dim, 4 * n
+        # sized from the file, not the header, so a corrupt count allocates nothing
+        payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload_bytes != emb_bytes + label_bytes:
+            raise ValueError(
+                f"embedding file {path} has {payload_bytes} payload bytes where "
+                f"{emb_bytes + label_bytes} were expected for n={n}, L={tokens}, D={dim}"
+            )
+        payload = fh.read()
+    emb = np.frombuffer(payload, dtype="<f4", count=n * tokens * dim)
+    labels = np.frombuffer(payload, dtype="<u4", offset=emb_bytes)
+    return emb.reshape(n, tokens, dim).astype(np.float64), labels.astype(np.int64)
 
 
 class FileEmbedder:
@@ -215,6 +227,10 @@ class PrototypeModel:
         if self.grad_steps < 1:
             raise ValueError("need at least one gradient step")
 
+    def attuned_pool(self):
+        """The attuned fingerprints, ``attune(pool, attn, r_select)``."""
+        return attune(self.pool, self.attn, self.r_select)
+
     @classmethod
     def init_random(cls, n_classes, dim, pool_count, pool_length, num_experts, rng,
                     learning_rate=0.001, grad_steps=1):
@@ -234,17 +250,19 @@ def _cross_entropy(logits, labels):
     return float(nll.mean())
 
 
-def forward_loss(model, batch):
+def forward_loss(model, batch, p_att=None):
     """Cross-entropy loss of the prototype classifier on a batch.
 
     Per-sample feature = token-mean embedding scaled by (1 + S), where S
     is the mean cosine similarity to the attuned fingerprints; this is
     the differentiable coupling that lets the fingerprints and gate train.
+    ``p_att`` is ``model.attuned_pool()``, computed here when not given.
     """
     labels = np.asarray(batch.labels, dtype=np.int64)
     if np.any(labels < 0) or np.any(labels >= model.prototypes.shape[0]):
         raise ValueError("label out of range for the prototype set")
-    p_att = attune(model.pool, model.attn, model.r_select)
+    if p_att is None:
+        p_att = model.attuned_pool()
     p_agg = p_att.sum(axis=1)
     _, s = batch_similarity(batch.embeddings, p_agg)
     pooled = batch.embeddings.mean(axis=1)
@@ -258,7 +276,7 @@ def loss_gradients(model, batch):
     labels = np.asarray(batch.labels, dtype=np.int64)
     emb = batch.embeddings
     bsz, tokens, _ = emb.shape
-    p_att = attune(model.pool, model.attn, model.r_select)
+    p_att, cache = attune(model.pool, model.attn, model.r_select, with_cache=True)
     p_agg = p_att.sum(axis=1)
     s_full, s = batch_similarity(emb, p_agg)
     pooled = emb.mean(axis=1)
@@ -289,7 +307,9 @@ def loss_gradients(model, batch):
         pv / (np.maximum(norms, NORM_EPS) * scale * scale)
     )[:, None]
     d_p_att = np.repeat(d_p_agg[:, None, :], p_att.shape[1], axis=1)
-    grad_pool, grad_gate = attune_backward(model.pool, model.attn, d_p_att, model.r_select)
+    grad_pool, grad_gate = attune_backward(
+        model.pool, model.attn, d_p_att, model.r_select, cache=cache
+    )
     loss = _cross_entropy(logits, labels)
     return loss, grad_proto, grad_pool, grad_gate
 
@@ -312,11 +332,15 @@ def train_step(model, batch, steps=None):
     return model, last_loss
 
 
-def evaluate(model, batch):
-    """Argmax-logit accuracy of the model on an evaluation batch."""
+def evaluate(model, batch, p_att=None):
+    """Argmax-logit accuracy of the model on an evaluation batch.
+
+    Pass ``p_att = model.attuned_pool()`` to share one attunement across
+    several evaluation batches of the same model state.
+    """
     if len(batch) == 0:
         raise ValueError("empty evaluation set")
-    _, logits = forward_loss(model, batch)
+    _, logits = forward_loss(model, batch, p_att)
     pred = logits.argmax(axis=1)
     return float(np.mean(pred == batch.labels))
 

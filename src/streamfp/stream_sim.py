@@ -297,7 +297,13 @@ def _concat_batches(a, b):
 
 
 def _select(selector, sigma, model, batch, rng):
-    """Run the configured selector; returns (indices, similarity or None)."""
+    """Run the configured selector; returns (indices, similarity or None).
+
+    Scoring uses the raw ``aggregate(model.pool)``, not the attuned pool
+    that the loss sees, and so does the buffer's resident scoring. This is
+    kept on purpose: scoring through the attuned pool would change every
+    selection and buffer decision, and so every recorded run output.
+    """
     if selector == "none":
         return np.arange(len(batch)), None
     if selector == "random":
@@ -465,7 +471,12 @@ def run_experiment(config):
             run_batch(model, buffer, batch, timings, run_sigma)
             selected_samples += len(batch)
         te = time.perf_counter()
-        acc_rows.append([evaluate(model, eval_sets[j]) for j in range(task + 1)])
+        # one attunement serves every eval set of this checkpoint; it is
+        # dropped before the next task's training, where it would raise the
+        # peak memory
+        p_att = model.attuned_pool()
+        acc_rows.append([evaluate(model, eval_sets[j], p_att) for j in range(task + 1)])
+        del p_att
         timings["eval"] += time.perf_counter() - te
 
     total_runtime = time.perf_counter() - t_start

@@ -2,6 +2,10 @@
 
 import configparser
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +209,45 @@ class TestDumpConfig:
         config, errors = load_config(path)
         assert errors == []
         assert config.validate() == []
+
+
+# imports the CLI in a fresh interpreter, then prints the BLAS thread
+# variable and, where NumPy bundles OpenBLAS, the count OpenBLAS runs with
+THREAD_PROBE = """
+import ctypes, glob, os
+import streamfp.cli
+import numpy
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
+                              "numpy.libs", "libscipy_openblas*"))
+blas = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_() if libs else None
+print(os.environ["OPENBLAS_NUM_THREADS"], blas)
+"""
+
+
+def probe_threads(**env_vars):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("STREAMFP_THREADS", "OMP_NUM_THREADS",
+                        "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    env.update(env_vars)
+    out = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout.split()
+    return out[0], None if out[1] == "None" else int(out[1])
+
+
+class TestThreadBound:
+    def test_default_is_one_thread_before_numpy_loads(self):
+        variable, blas = probe_threads()
+        assert variable == "1"
+        assert blas in (1, None)
+
+    def test_streamfp_threads_sets_the_bound(self):
+        variable, blas = probe_threads(STREAMFP_THREADS="3")
+        assert variable == "3"
+        # OpenBLAS caps its count at the usable CPUs
+        assert blas in (min(3, os.cpu_count()), None)
+
+    def test_explicit_blas_variable_is_kept(self):
+        variable, _ = probe_threads(STREAMFP_THREADS="3", OPENBLAS_NUM_THREADS="2")
+        assert variable == "2"

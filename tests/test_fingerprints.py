@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 from scipy.special import ndtr
 
+from streamfp.core_math import gelu, gelu_grad, softmax, top_k
 from streamfp.fingerprints import (
     AttunementParams,
     FingerprintPool,
@@ -17,12 +18,80 @@ from streamfp.fingerprints import (
 )
 from streamfp.seeding import substream
 
+# (N, L_p, D, R, r_select): the default StreamConfig and the smaller test
+# configs, the replay and paper benchmark shapes, and r_select < R
+PINNED_SHAPES = [
+    (8, 2, 16, 3, None),
+    (5, 4, 6, 5, 2),
+    (8, 2, 64, 3, None),
+    (100, 4, 768, 3, None),
+]
+
 
 def identity_params(dim, num_experts, gate=None):
     eye = np.stack([np.eye(dim)] * num_experts)
     if gate is None:
         gate = np.zeros((dim, num_experts))
     return AttunementParams(gate, eye.copy(), eye.copy())
+
+
+def random_case(n, lp, d, r, seed):
+    rng = substream(seed, "ref")
+    pool = FingerprintPool(rng.standard_normal((n, lp, d)))
+    params = AttunementParams.init_random(d, r, rng, gate_scale=0.5)
+    return pool, params, rng.standard_normal((n, lp, d))
+
+
+def reference_gate(pool, params, r_select):
+    """Per-row top_k and softmax of the gate scores."""
+    r_select = r_select or params.num_experts
+    scores = pool.weights.mean(axis=1) @ params.gate
+    mix = np.empty((pool.count, r_select))
+    idx = np.empty((pool.count, r_select), dtype=np.int64)
+    for i, row in enumerate(scores):
+        vals, idx[i] = top_k(row, r_select)
+        mix[i] = softmax(vals)
+    return mix, idx
+
+
+def reference_attune(pool, params, r_select=None):
+    """attune one fingerprint at a time: one (L_p, D) x (D, D) product per
+    fingerprint and expert, as NumPy runs a stacked matmul."""
+    mix, idx = reference_gate(pool, params, r_select)
+    out = np.zeros_like(pool.weights)
+    for n, fp in enumerate(pool.weights):
+        for j, r in enumerate(idx[n]):
+            out[n] += mix[n, j] * (gelu(fp @ params.keys[r].T) @ params.values[r].T)
+    return out
+
+
+def reference_attune_backward(pool, params, upstream, r_select=None):
+    """attune_backward one fingerprint at a time, products as above."""
+    mix, idx = reference_gate(pool, params, r_select)
+    n_fp, lp, _ = pool.weights.shape
+    dscores = np.zeros((n_fp, params.num_experts))
+    token_grads = []
+    for n, fp in enumerate(pool.weights):
+        pre = [fp @ params.keys[r].T for r in range(params.num_experts)]
+        dmix = np.array([
+            np.einsum("ld,ld->", upstream[n], gelu(pre[r]) @ params.values[r].T)
+            for r in idx[n]
+        ])
+        dscores[n, idx[n]] = mix[n] * (dmix - np.sum(mix[n] * dmix))
+        grads = []
+        for r in range(params.num_experts):
+            coef = 0.0
+            for j in range(len(idx[n])):
+                coef += mix[n, j] if idx[n, j] == r else 0.0
+            d_pre = (upstream[n] @ params.values[r]) * gelu_grad(pre[r])
+            grads.append(coef * (d_pre @ params.keys[r]))
+        token_grads.append(grads)
+    grad_gate = pool.weights.mean(axis=1).T @ dscores
+    grad_pool = np.repeat((dscores @ params.gate.T)[:, None, :] / lp, lp, axis=1)
+    for n in range(n_fp):
+        for grad in token_grads[n]:
+            grad_pool[n] += grad
+    return grad_pool, grad_gate
 
 
 class TestFingerprintPool:
@@ -92,6 +161,26 @@ class TestGateForward:
         mix, _ = gate_forward(pool, params, r_select=3)
         npt.assert_allclose(mix.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("num_experts,r_select", [(3, 3), (5, 2), (12, 1), (20, 7), (20, 20)])
+    def test_matches_per_row_reference_on_ties(self, num_experts, r_select):
+        # integer pools and a gate with repeated columns give many tied scores
+        rng = substream(num_experts * 100 + r_select, "tie")
+        pool = FingerprintPool(rng.integers(-2, 3, size=(40, 2, 4)).astype(float))
+        gate = rng.integers(-1, 2, size=(4, num_experts)).astype(float)
+        gate[:, num_experts // 2:] = gate[:, : num_experts - num_experts // 2]
+        params = identity_params(4, num_experts, gate=gate)
+        mix, idx = gate_forward(pool, params, r_select)
+        ref_mix, ref_idx = reference_gate(pool, params, r_select)
+        npt.assert_array_equal(idx, ref_idx)
+        assert np.array_equal(mix, ref_mix)
+
+    def test_all_tied_scores_pick_lowest_indices(self):
+        pool = FingerprintPool.init_random(6, 2, 3, substream(22, "g"))
+        params = identity_params(3, 20, gate=np.ones((3, 20)))
+        mix, idx = gate_forward(pool, params, r_select=7)
+        npt.assert_array_equal(idx, np.tile(np.arange(7), (6, 1)))
+        npt.assert_allclose(mix, 1.0 / 7.0, atol=1e-15)
+
     def test_r_select_out_of_range(self):
         pool = FingerprintPool.init_random(2, 2, 3, substream(5, "g"))
         with pytest.raises(ValueError):
@@ -142,6 +231,22 @@ class TestAttune:
         pool = FingerprintPool.init_random(2, 2, 3, substream(9, "a"))
         with pytest.raises(ValueError):
             attune(pool, identity_params(4, 2))
+
+    @pytest.mark.parametrize("n,lp,d,r,r_select", PINNED_SHAPES)
+    def test_bit_identical_to_per_fingerprint_reference(self, n, lp, d, r, r_select):
+        pool, params, _ = random_case(n, lp, d, r, seed=d)
+        out = attune(pool, params, r_select)
+        assert np.array_equal(out, reference_attune(pool, params, r_select))
+        cached, _ = attune(pool, params, r_select, with_cache=True)
+        assert np.array_equal(cached, out)
+
+    def test_close_to_reference_where_blas_rounds_differently(self):
+        # At this shape OpenBLAS runs the small per-fingerprint products and
+        # the single (N*L_p, D) GEMM through different kernels, which round
+        # differently in the last bits; the shapes above agree exactly.
+        pool, params, _ = random_case(10, 4, 32, 3, seed=32)
+        npt.assert_allclose(attune(pool, params), reference_attune(pool, params),
+                            rtol=1e-12, atol=1e-12)
 
 
 class TestFrozenWeights:
@@ -198,6 +303,27 @@ class TestAttuneBackward:
                 assert grad[ix] == pytest.approx(fd, abs=1e-6, rel=1e-5)
                 it.iternext()
 
+    @pytest.mark.parametrize("n,lp,d,r,r_select", PINNED_SHAPES)
+    def test_bit_identical_to_per_fingerprint_reference(self, n, lp, d, r, r_select):
+        pool, params, upstream = random_case(n, lp, d, r, seed=d)
+        grads = attune_backward(pool, params, upstream, r_select)
+        ref = reference_attune_backward(pool, params, upstream, r_select)
+        assert all(np.array_equal(g, g_ref) for g, g_ref in zip(grads, ref))
+
+    @pytest.mark.parametrize("n,lp,d,r,r_select", PINNED_SHAPES + [(10, 4, 32, 3, None)])
+    def test_cache_gives_identical_gradients(self, n, lp, d, r, r_select):
+        pool, params, upstream = random_case(n, lp, d, r, seed=d + 1)
+        _, cache = attune(pool, params, r_select, with_cache=True)
+        cached = attune_backward(pool, params, upstream, r_select, cache=cache)
+        uncached = attune_backward(pool, params, upstream, r_select)
+        assert all(np.array_equal(a, b) for a, b in zip(cached, uncached))
+
+    def test_close_to_reference_where_blas_rounds_differently(self):
+        pool, params, upstream = random_case(10, 4, 32, 3, seed=33)
+        for g, g_ref in zip(attune_backward(pool, params, upstream),
+                            reference_attune_backward(pool, params, upstream)):
+            npt.assert_allclose(g, g_ref, rtol=1e-12, atol=1e-12)
+
     def test_upstream_shape_check(self):
         pool = FingerprintPool.init_random(2, 2, 3, substream(14, "b"))
         params = AttunementParams.init_random(3, 2, substream(15, "b"))
@@ -221,3 +347,17 @@ class TestWeightsFile:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError):
             load_mlp_weights(path)
+
+    def test_cut_or_padded_file_names_itself(self, tmp_path):
+        d = 5
+        params = AttunementParams.init_random(d, 3, substream(17, "w"))
+        path = tmp_path / "bank.sfpw"
+        save_mlp_weights(path, params.keys, params.values)
+        data = path.read_bytes()
+        matrix = 4 * d * d
+        # inside magic, inside header, header only, inside a matrix, one
+        # matrix short, one byte short, one byte extra
+        for cut in (2, 10, 16, 30, len(data) - matrix, len(data) - 1, len(data) + 1):
+            path.write_bytes((data + b"\x00")[:cut])
+            with pytest.raises(ValueError, match="bank.sfpw"):
+                load_mlp_weights(path)

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from streamfp import learner, stream_sim
 from streamfp.fingerprints import AttunementParams, FingerprintPool
 from streamfp.learner import (
     EmbeddingBatch,
@@ -138,6 +139,19 @@ class TestEmbeddingFile:
         with pytest.raises(ValueError):
             read_embedding_file(path)
 
+    def test_cut_or_padded_file_names_itself(self, tmp_path):
+        n = 5
+        path = tmp_path / "cut.sfpe"
+        write_embedding_file(path, substream(13, "file").standard_normal((n, 2, 3)),
+                             np.arange(n))
+        data = path.read_bytes()
+        # inside magic, inside header, header only, inside the embeddings,
+        # two labels short, one byte short, one byte extra
+        for cut in (2, 10, 24, 40, len(data) - 8, len(data) - 1, len(data) + 1):
+            path.write_bytes((data + b"\x00")[:cut])
+            with pytest.raises(ValueError, match="cut.sfpe"):
+                read_embedding_file(path)
+
 
 class TestForwardLoss:
     def test_uniform_logits_loss(self):
@@ -249,6 +263,41 @@ class TestEvaluate:
         model = small_model(seed=21)
         batch = random_batch(21)
         assert evaluate(model, batch) == evaluate(model, batch)
+
+    def test_shared_attunement_gives_same_accuracy(self):
+        model = small_model(seed=22)
+        p_att = model.attuned_pool()
+        for seed in (22, 23):
+            batch = random_batch(seed)
+            assert evaluate(model, batch, p_att) == evaluate(model, batch)
+
+    def test_run_accuracy_unchanged_by_sharing_checkpoint_attunement(self, monkeypatch):
+        config = stream_sim.StreamConfig(
+            dataset_size=120, batch_size=10, tasks=3, n_classes=6, eval_size=30,
+            pinned_batch_time=1e-9, learning_rate=0.3, seed=5,
+        )
+        shared = stream_sim.run_experiment(config)
+        # every eval set attunes for itself, as before attunement was shared
+        monkeypatch.setattr(stream_sim, "evaluate",
+                            lambda model, batch, p_att=None: evaluate(model, batch))
+        assert stream_sim.run_experiment(config).acc_rows == shared.acc_rows
+
+    def test_run_attunes_once_per_step_and_checkpoint(self, monkeypatch):
+        calls = []
+        original = learner.attune
+
+        def counting_attune(*args, **kwargs):
+            calls.append(kwargs.get("with_cache", False))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(learner, "attune", counting_attune)
+        config = stream_sim.StreamConfig(
+            dataset_size=120, batch_size=10, tasks=3, n_classes=6, eval_size=30,
+            pinned_batch_time=1e-9, grad_steps=2, seed=5,
+        )
+        report = stream_sim.run_experiment(config)
+        assert calls.count(True) == 2 * report.retained_batches
+        assert calls.count(False) == config.tasks
 
     def test_empty_eval_raises(self):
         model = small_model()
