@@ -12,7 +12,7 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .core_math import batch_similarity
 from .seeding import substream
 from .stream_sim import (
     StreamConfig,
+    coerce,
     kcenter_coreset,
     metrics_csv,
     random_coreset,
@@ -41,154 +42,104 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
-# INI schema: section -> key -> (field name, parser)
-CONFIG_SCHEMA = {
-    "stream": {
-        "lambda": ("lam", float),
-        "dataset_size": ("dataset_size", int),
-        "batch_size": ("batch_size", int),
-        "tasks": ("tasks", int),
-        "class_order": ("class_order", int),
-        "sigma": ("sigma", float),
-        "buffer_size": ("buffer_size", int),
-        "K": ("grad_steps", int),
-        "seed": ("seed", int),
-        "selector": ("selector", str),
-        "buffer_policy": ("buffer_policy", str),
-        "skip_mode": ("skip_mode", str),
-        "warmup_batches": ("warmup_batches", int),
-        "run_id": ("run_id", str),
-    },
-    "learner": {
-        "n_classes": ("n_classes", int),
-        "dim": ("dim", int),
-        "tokens": ("tokens", int),
-        "n_fingerprints": ("n_fingerprints", int),
-        "fingerprint_length": ("fingerprint_length", int),
-        "num_experts": ("num_experts", int),
-        "noise_std": ("noise_std", float),
-        "drift_std": ("drift_std", float),
-        "outlier_fraction": ("outlier_fraction", float),
-        "outlier_scale": ("outlier_scale", float),
-        "dominant_fraction": ("dominant_fraction", float),
-        "class_concentration": ("class_concentration", float),
-        "learning_rate": ("learning_rate", float),
-        "eval_size": ("eval_size", int),
-    },
-    "timing": {
-        "pinned_batch_time": ("pinned_batch_time", float),
-        "c_s_override": ("c_s_override", float),
-        "pinned_selection_throughput": ("pinned_selection_throughput", float),
-        "pinned_total_runtime": ("pinned_total_runtime", float),
-    },
-}
-
-REQUIRED_KEYS = [("stream", "lambda"), ("stream", "seed")]
-
-_FIELD_TO_KEY = {
-    field: (section, key)
-    for section, keys in CONFIG_SCHEMA.items()
-    for key, (field, _) in keys.items()
-}
+# config fields by INI section and key, in declaration order
+_SCHEMA = {}
+for _f in fields(StreamConfig):
+    _SCHEMA.setdefault(_f.metadata["section"], {})[_f.metadata["key"]] = _f
+_BY_KEY = {key: f for keys in _SCHEMA.values() for key, f in keys.items()}
 
 
-def load_config(path):
-    """Load a StreamConfig from an INI file or a run-manifest JSON.
+def _coerce_items(items, by_key, where, errors):
+    """{field name: value} of the (key, raw value) items; unknown keys and
+    values that do not coerce are added to errors."""
+    values = {}
+    for key, raw in items:
+        if key not in by_key:
+            errors.append(f"unknown key `{key}` {where}")
+            continue
+        try:
+            values[by_key[key].name] = coerce(by_key[key], raw)
+        except ValueError as exc:
+            errors.append(f"key `{key}`: {exc}")
+    return values
 
-    Returns (config, errors): errors is a list of messages; the config is
-    None whenever errors is non-empty.
-    """
-    path = Path(path)
-    if not path.exists():
-        return None, [f"config file not found: {path}"]
+
+def _read(path):
+    """(field values, errors) of an INI config or a run-manifest JSON; the
+    values are None if the file cannot be read at all."""
     if path.suffix == ".json":
         try:
             manifest = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except (OSError, ValueError) as exc:
             return None, [f"invalid manifest JSON: {exc}"]
-        cfg_dict = manifest.get("config", manifest)
-        try:
-            return StreamConfig(**cfg_dict), []
-        except TypeError as exc:
-            return None, [f"manifest config mismatch: {exc}"]
-
-    parser = configparser.ConfigParser()
+        config = manifest.get("config", manifest) if isinstance(manifest, dict) else manifest
+        if not isinstance(config, dict):
+            return None, ["manifest `config` (or the whole manifest) must be a JSON "
+                          f"object, got {type(config).__name__}"]
+        errors = []
+        by_name = {f.name: f for f in _BY_KEY.values()}
+        return _coerce_items(config.items(), by_name, "in manifest config", errors), errors
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal
     parser.optionxform = str  # keys like `K` are case-sensitive
     try:
         parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, ValueError) as exc:
         return None, [f"invalid config file: {exc}"]
-    errors = []
+    errors = [
+        f"missing required key `{key}` in section [{f.metadata['section']}]"
+        for key, f in _BY_KEY.items()
+        if f.metadata["required"] and not parser.has_option(f.metadata["section"], key)
+    ]
     values = {}
-    for section, key in REQUIRED_KEYS:
-        if not parser.has_option(section, key):
-            errors.append(f"missing required key `{key}` in section [{section}]")
     for section in parser.sections():
-        if section not in CONFIG_SCHEMA:
+        if section in _SCHEMA:
+            values |= _coerce_items(parser.items(section), _SCHEMA[section],
+                                    f"in section [{section}]", errors)
+        else:
             errors.append(f"unknown config section [{section}]")
-            continue
-        for key, raw in parser.items(section):
-            if key not in CONFIG_SCHEMA[section]:
-                errors.append(f"unknown key `{key}` in section [{section}]")
-                continue
-            field, cast = CONFIG_SCHEMA[section][key]
-            try:
-                values[field] = cast(raw)
-            except ValueError:
-                errors.append(f"key `{key}`: cannot parse {raw!r} as {cast.__name__}")
-    if errors:
+    return values, errors
+
+
+def load_config(path, overrides=()):
+    """Load a StreamConfig from an INI file or a run-manifest JSON, apply
+    ``--override KEY=VALUE`` items and validate it. Returns (config, errors):
+    errors lists every problem, values that do not parse and range errors
+    alike; the config is None whenever errors is non-empty."""
+    path = Path(path)
+    if not path.exists():
+        return None, [f"config file not found: {path}"]
+    values, errors = _read(path)
+    if values is None:
         return None, errors
-    return StreamConfig(**values), []
+    config = StreamConfig(**values)
+    errors += apply_overrides(config, overrides)
+    errors += config.validate()
+    return (None, errors) if errors else (config, [])
 
 
 def apply_overrides(config, overrides):
     """Apply repeatable --override KEY=VALUE flags; returns error list."""
-    errors = []
-    for item in overrides:
-        if "=" not in item:
-            errors.append(f"override {item!r} is not KEY=VALUE")
-            continue
-        key, raw = item.split("=", 1)
-        key = key.strip()
-        found = None
-        for section, keys in CONFIG_SCHEMA.items():
-            if key in keys:
-                found = keys[key]
-                break
-        if found is None:
-            errors.append(f"override names unknown key `{key}`")
-            continue
-        field, cast = found
-        try:
-            setattr(config, field, cast(raw))
-        except ValueError:
-            errors.append(f"override `{key}`: cannot parse {raw!r} as {cast.__name__}")
+    errors = [f"override {item!r} is not KEY=VALUE" for item in overrides if "=" not in item]
+    pairs = [(key.strip(), raw) for key, _, raw in
+             (item.partition("=") for item in overrides if "=" in item)]
+    for name, value in _coerce_items(pairs, _BY_KEY, "in --override", errors).items():
+        setattr(config, name, value)
     return errors
 
 
 def default_config_text():
     lines = []
-    defaults = StreamConfig()
-    for section, keys in CONFIG_SCHEMA.items():
+    for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
-        for key, (field, _) in keys.items():
-            value = getattr(defaults, field)
-            if value is None:
-                lines.append(f"# {key} = <unset>")
-            else:
-                lines.append(f"{key} = {value}")
+        lines += [f"# {key} = <unset>" if f.default is None else f"{key} = {f.default}"
+                  for key, f in keys.items()]
         lines.append("")
     return "\n".join(lines)
 
 
 def cmd_run(args):
-    config, errors = load_config(args.config)
-    if config is not None:
-        errors += apply_overrides(config, args.override)
-        if args.seed is not None:
-            config.seed = args.seed
-    if config is not None and not errors:
-        errors += config.validate()
+    seed = [] if args.seed is None else [f"seed={args.seed}"]
+    config, errors = load_config(args.config, args.override + seed)
     if errors:
         for e in errors:
             print(f"config error: {e}", file=sys.stderr)
@@ -205,12 +156,14 @@ def cmd_run(args):
 
     # pin every measured figure so a rerun from the manifest reproduces
     # each output byte-for-byte; the pinned config is what gets recorded
-    pinned = asdict(config)
-    pinned["pinned_batch_time"] = report.batch_time_s
-    pinned["c_s_override"] = report.c_s
-    pinned["pinned_selection_throughput"] = report.selection_throughput_sps
-    pinned["pinned_total_runtime"] = report.total_runtime_s
-    pinned_config = StreamConfig(**pinned)
+    pinned_config = replace(
+        config,
+        pinned_batch_time=report.batch_time_s,
+        c_s_override=report.c_s,
+        pinned_selection_throughput=report.selection_throughput_sps,
+        pinned_total_runtime=report.total_runtime_s,
+    )
+    pinned = asdict(pinned_config)
 
     csv_path = out_dir / "metrics.csv"
     json_path = out_dir / "metrics.json"

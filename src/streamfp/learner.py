@@ -10,7 +10,7 @@ fingerprints and gate receive real gradients through the loss.
 import logging
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

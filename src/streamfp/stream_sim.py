@@ -5,10 +5,11 @@ C_S is computed from a timed warm-up (or a pinned measurement) and
 translates directly into a batch-skipping schedule.
 """
 
-import json
 import math
+import numbers
 import time
-from dataclasses import dataclass, field, asdict
+import typing
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -49,86 +50,123 @@ CSV_COLUMNS = [
 ]
 
 
+# range rules, by the text that names them in error messages
+_RULES = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "even and >= 2": lambda v: v >= 2 and v % 2 == 0,
+}
+
+
+def _key(section, key, default, rule=None, required=False):
+    """A config field: its INI ``[section] key``, default, range rule (a key
+    of ``_RULES``, a tuple of allowed values, or None for any value) and
+    whether an INI file must set it. Its type is the field's annotation."""
+    metadata = dict(section=section, key=key, rule=rule, required=required)
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class StreamConfig:
-    """Fully explicit description of one experiment run."""
+    """Fully explicit description of one experiment run. The ``_key`` of each
+    field is all that the config loaders and ``validate`` know of it."""
 
-    lam: float = 6028.0  # arrival rate, samples/sec
-    dataset_size: int = 2000
-    batch_size: int = 20
-    tasks: int = 5
-    class_order: int = 1  # 1..5 pick a built-in seed-generated permutation
-    sigma: float = 0.5
-    buffer_size: int = 102
-    grad_steps: int = 1
-    seed: int = 1
-    selector: str = "streamfp"
-    buffer_policy: str = "streamfp"
-    skip_mode: str = "skip_batches"
-    # surrogate learner / embedder
-    n_classes: int = 10
-    dim: int = 16
-    tokens: int = 2
-    n_fingerprints: int = 8
-    fingerprint_length: int = 2
-    num_experts: int = 3
-    noise_std: float = 0.3
-    drift_std: float = 0.3
-    outlier_fraction: float = 0.0
-    outlier_scale: float = 1.0
-    dominant_fraction: float = 0.0
-    class_concentration: float = 0.0
-    learning_rate: float = 0.001
-    eval_size: int = 100  # held-out samples per task
-    warmup_batches: int = 50
+    # arrival rate, samples/sec
+    lam: float = _key("stream", "lambda", 6028.0, "> 0", required=True)
+    dataset_size: int = _key("stream", "dataset_size", 2000, ">= 1")
+    batch_size: int = _key("stream", "batch_size", 20, ">= 1")
+    tasks: int = _key("stream", "tasks", 5, ">= 1")
+    # the seed of a reproducible class permutation
+    class_order: int = _key("stream", "class_order", 1, ">= 0")
+    sigma: float = _key("stream", "sigma", 0.5, "in (0, 1]")
+    buffer_size: int = _key("stream", "buffer_size", 102, ">= 1")
+    grad_steps: int = _key("stream", "K", 1, ">= 1")
+    seed: int = _key("stream", "seed", 1, ">= 0", required=True)
+    selector: str = _key("stream", "selector", "streamfp", SELECTORS)
+    buffer_policy: str = _key("stream", "buffer_policy", "streamfp", BUFFER_POLICIES)
+    skip_mode: str = _key("stream", "skip_mode", "skip_batches", SKIP_MODES)
+    # surrogate learner / embedder; n_classes must also be >= tasks
+    n_classes: int = _key("learner", "n_classes", 10, ">= 1")
+    dim: int = _key("learner", "dim", 16, ">= 1")
+    tokens: int = _key("learner", "tokens", 2, ">= 1")
+    n_fingerprints: int = _key("learner", "n_fingerprints", 8, ">= 1")
+    fingerprint_length: int = _key("learner", "fingerprint_length", 2, "even and >= 2")
+    num_experts: int = _key("learner", "num_experts", 3, ">= 1")
+    noise_std: float = _key("learner", "noise_std", 0.3, ">= 0")
+    drift_std: float = _key("learner", "drift_std", 0.3, ">= 0")
+    outlier_fraction: float = _key("learner", "outlier_fraction", 0.0, "in [0, 1)")
+    outlier_scale: float = _key("learner", "outlier_scale", 1.0, "> 0")
+    dominant_fraction: float = _key("learner", "dominant_fraction", 0.0, "in [0, 1)")
+    class_concentration: float = _key("learner", "class_concentration", 0.0, "in [0, 1)")
+    learning_rate: float = _key("learner", "learning_rate", 0.001, ">= 0")
+    eval_size: int = _key("learner", "eval_size", 100, ">= 1")  # held-out samples per task
+    warmup_batches: int = _key("stream", "warmup_batches", 50, ">= 1")
     # pinned timing inputs; when set, wall-clock measurement is skipped and
     # every derived figure is reproducible bit-for-bit
-    pinned_batch_time: float | None = None
-    c_s_override: float | None = None
-    pinned_selection_throughput: float | None = None
-    pinned_total_runtime: float | None = None
-    run_id: str = "run"
+    pinned_batch_time: float | None = _key("timing", "pinned_batch_time", None, "> 0")
+    c_s_override: float | None = _key("timing", "c_s_override", None, "> 0")
+    pinned_selection_throughput: float | None = _key(
+        "timing", "pinned_selection_throughput", None, ">= 0")
+    pinned_total_runtime: float | None = _key("timing", "pinned_total_runtime", None, ">= 0")
+    run_id: str = _key("stream", "run_id", "run")
 
     def validate(self):
         """Return the list of all violated-field messages (empty if valid)."""
         errors = []
-        if self.lam <= 0:
-            errors.append("lambda must be > 0")
-        if self.dataset_size < 1:
-            errors.append("dataset_size must be >= 1")
-        if self.batch_size < 1:
-            errors.append("batch_size must be >= 1")
-        if self.tasks < 1:
-            errors.append("tasks must be >= 1")
-        if not 0 < self.sigma <= 1:
-            errors.append("sigma must be in (0, 1]")
-        if self.buffer_size < 1:
-            errors.append("buffer_size must be >= 1")
-        if self.grad_steps < 1:
-            errors.append("K (grad_steps) must be >= 1")
-        if self.selector not in SELECTORS:
-            errors.append(f"selector must be one of {SELECTORS}")
-        if self.buffer_policy not in BUFFER_POLICIES:
-            errors.append(f"buffer_policy must be one of {BUFFER_POLICIES}")
-        if self.skip_mode not in SKIP_MODES:
-            errors.append(f"skip_mode must be one of {SKIP_MODES}")
-        if self.n_classes < self.tasks:
-            errors.append("n_classes must be >= tasks")
-        if self.fingerprint_length < 2 or self.fingerprint_length % 2:
-            errors.append("fingerprint_length must be even and >= 2")
-        if self.learning_rate < 0:
-            errors.append("learning_rate must be >= 0")
-        if self.warmup_batches < 1:
-            errors.append("warmup_batches must be >= 1")
-        if not 0 <= self.outlier_fraction < 1:
-            errors.append("outlier_fraction must be in [0, 1)")
-        if self.outlier_scale <= 0:
-            errors.append("outlier_scale must be > 0")
-        if not 0 <= self.dominant_fraction < 1:
-            errors.append("dominant_fraction must be in [0, 1)")
-        if not 0 <= self.class_concentration < 1:
-            errors.append("class_concentration must be in [0, 1)")
+        for f in fields(self):
+            value, rule = getattr(self, f.name), f.metadata["rule"]
+            name = f"key `{f.metadata['key']}`" + (
+                f" ({f.name})" if f.name != f.metadata["key"] else "")
+            try:
+                if isinstance(value, str) and f.type is not str:  # coerce would parse it
+                    raise ValueError(f"must be a number, got {value!r}")
+                coerce(f, value)
+            except ValueError as exc:
+                errors.append(f"{name}: {exc}")
+                continue
+            if value is None or rule is None:
+                continue
+            if isinstance(rule, tuple) and value not in rule:
+                errors.append(f"{name}: must be one of {rule}, got {value!r}")
+            elif isinstance(rule, str) and not _RULES[rule](value):
+                errors.append(f"{name}: must be {rule}, got {value!r}")
+        if all(isinstance(v, numbers.Real) for v in (self.n_classes, self.tasks)) \
+                and self.n_classes < self.tasks:
+            errors.append(f"key `n_classes`: must be >= tasks ({self.tasks}), got {self.n_classes}")
         return errors
+
+
+def coerce(f, raw):
+    """The value of config field ``f`` given as ``raw``: an INI or
+    ``--override`` string, a JSON value or a Python value. Raises ValueError
+    saying what is wrong with it."""
+    args = typing.get_args(f.type)
+    kind, nullable = (args[0], True) if args else (f.type, False)
+    if raw is None and nullable:
+        return None
+    if isinstance(raw, str) and kind is not str:
+        try:
+            raw = kind(raw)
+        except ValueError:
+            raise ValueError(f"cannot parse {raw!r} as {kind.__name__}") from None
+    if kind is str:
+        if not isinstance(raw, str):
+            raise ValueError(f"must be a string, got {raw!r}")
+        return raw
+    if not isinstance(raw, numbers.Real) or isinstance(raw, bool):
+        raise ValueError(f"must be a number, got {raw!r}")
+    try:
+        value = kind(raw)  # int(nan), int(inf) and float(10**400) raise
+    except (ValueError, OverflowError):
+        value = None
+    if value is None or kind is float and not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw!r}")
+    if kind is int and value != raw:  # int(1.5) == 1
+        raise ValueError(f"must be an integer, got {raw!r}")
+    return value
 
 
 @dataclass
@@ -361,17 +399,18 @@ def run_experiment(config):
         class_concentration=config.class_concentration,
         class_order=order,
     )
-    model = PrototypeModel.init_random(
-        n_classes=config.n_classes,
-        dim=config.dim,
-        pool_count=config.n_fingerprints,
-        pool_length=config.fingerprint_length,
-        num_experts=config.num_experts,
-        rng=init_rng,
-        learning_rate=config.learning_rate,
-        grad_steps=config.grad_steps,
-    )
-    buffer = RehearsalBuffer(config.buffer_size)
+
+    def new_model(rng):
+        return PrototypeModel.init_random(
+            n_classes=config.n_classes,
+            dim=config.dim,
+            pool_count=config.n_fingerprints,
+            pool_length=config.fingerprint_length,
+            num_experts=config.num_experts,
+            rng=rng,
+            learning_rate=config.learning_rate,
+            grad_steps=config.grad_steps,
+        )
 
     num_batches = config.dataset_size // config.batch_size
     num_batches = max(num_batches, config.tasks)
@@ -423,16 +462,10 @@ def run_experiment(config):
         timings["train"] += t2 - t1
         timings["buffer"] += t3 - t2
 
-    # warm-up timing (or pinned measurement) -> C_S -> skip schedule
-    if config.pinned_batch_time is not None:
-        batch_time = config.pinned_batch_time
-    else:
-        warm_model = PrototypeModel.init_random(
-            config.n_classes, config.dim, config.n_fingerprints,
-            config.fingerprint_length, config.num_experts,
-            substream(seed, "warmup-init"),
-            learning_rate=config.learning_rate, grad_steps=config.grad_steps,
-        )
+    def warmup_batch_time():
+        """Median time of a batch on a throwaway model and buffer, which are
+        freed on return, before the run's own model is built."""
+        warm_model = new_model(substream(seed, "warmup-init"))
         warm_buffer = RehearsalBuffer(config.buffer_size)
         warm_timings = {"selection": 0.0, "train": 0.0, "buffer": 0.0}
         per_batch = []
@@ -441,7 +474,17 @@ def run_experiment(config):
             tw = time.perf_counter()
             run_batch(warm_model, warm_buffer, batch, warm_timings, config.sigma)
             per_batch.append(time.perf_counter() - tw)
-        batch_time = float(np.median(per_batch))
+        return float(np.median(per_batch))
+
+    # warm-up timing (or pinned measurement) -> C_S -> skip schedule; the
+    # warm-up draws from the selection, retrieval and buffer substreams
+    # before the run does, the models only from their own init substreams
+    if config.pinned_batch_time is not None:
+        batch_time = config.pinned_batch_time
+    else:
+        batch_time = warmup_batch_time()
+    model = new_model(init_rng)
+    buffer = RehearsalBuffer(config.buffer_size)
 
     if config.c_s_override is not None:
         c_s = config.c_s_override

@@ -1,13 +1,19 @@
 """Tests for the command-line interface (run, verify, bench, dump-config)."""
 
 import configparser
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamfp.cli import (
     EXIT_CONFIG,
@@ -30,6 +36,32 @@ FAST_OVERRIDES = [
     "--override", "buffer_size=20",
     "--override", "pinned_batch_time=1e-9",
 ]
+
+
+# the FAST_OVERRIDES settings as a manifest config
+FAST_CONFIG = asdict(StreamConfig(
+    lam=6028.0, seed=3, dataset_size=100, batch_size=10, tasks=2, n_classes=4,
+    dim=6, tokens=1, eval_size=10, buffer_size=20, pinned_batch_time=1e-9,
+))
+
+# a valid small value of every key, and whether 0 is valid too; -1, nan,
+# inf and a junk string are valid only for run_id, which takes any string
+VALID_VALUES = {
+    "lambda": ("100", False), "dataset_size": ("50", False),
+    "batch_size": ("5", False), "tasks": ("3", False), "class_order": ("3", True),
+    "sigma": ("0.3", False), "buffer_size": ("5", False), "K": ("2", False),
+    "seed": ("5", True), "selector": ("kcenter", False),
+    "buffer_policy": ("reservoir", False), "skip_mode": ("lower_ratio", False),
+    "warmup_batches": ("2", False), "run_id": ("fuzz", True),
+    "n_classes": ("5", False), "dim": ("4", False), "tokens": ("2", False),
+    "n_fingerprints": ("3", False), "fingerprint_length": ("4", False),
+    "num_experts": ("2", False), "noise_std": ("0.2", True), "drift_std": ("0.1", True),
+    "outlier_fraction": ("0.1", True), "outlier_scale": ("2", False),
+    "dominant_fraction": ("0.1", True), "class_concentration": ("0.5", True),
+    "learning_rate": ("0.1", True), "eval_size": ("5", False),
+    "pinned_batch_time": ("1e-6", False), "c_s_override": ("2", False),
+    "pinned_selection_throughput": ("100", True), "pinned_total_runtime": ("1", True),
+}
 
 
 def write_minimal_config(path, **extra):
@@ -78,6 +110,13 @@ class TestLoadConfig:
         assert "sigma" in joined  # unparsable
         assert "mystery" in joined  # unknown key
         assert "rocket" in joined  # unknown section
+
+    def test_values_are_literal(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[stream]\nlambda = 6028\nseed = 3\nrun_id = 50%(x)s\n")
+        config, errors = load_config(path)
+        assert errors == []
+        assert config.run_id == "50%(x)s"
 
     def test_manifest_json_roundtrip(self, tmp_path):
         from dataclasses import asdict
@@ -142,6 +181,85 @@ class TestRunCommand:
             (out2 / "metrics.csv").read_bytes()
         assert (out1 / "metrics.json").read_bytes() == \
             (out2 / "metrics.json").read_bytes()
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--override", "lambda=nan"], "lambda"),
+        (["--override", "lambda=inf"], "lambda"),
+        (["--override", "n_fingerprints=0"], "n_fingerprints"),
+        (["--override", "dim=0"], "dim"),
+        (["--override", "num_experts=0"], "num_experts"),
+        (["--override", "eval_size=0"], "eval_size"),
+        (["--override", "pinned_batch_time=0"], "pinned_batch_time"),
+        (["--override", "class_order=-1"], "class_order"),
+        (["--override", "learning_rate=nan"], "learning_rate"),
+        (["--override", "tokens=0"], "tokens"),
+        (["--override", "c_s_override=-1"], "c_s_override"),
+        (["--seed", "-1"], "seed"),
+    ])
+    def test_bad_value_exits_2_naming_its_key(self, tmp_path, capsys, flags, key):
+        path = tmp_path / "run.ini"
+        write_minimal_config(path)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")]
+                    + FAST_OVERRIDES + flags)
+        assert code == EXIT_CONFIG
+        assert f"`{key}`" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest, key", [
+        ([FAST_CONFIG], "config"),
+        ({"config": [FAST_CONFIG]}, "config"),
+        ({"config": {**FAST_CONFIG, "lam": "abc"}}, "lam"),
+        ({"config": {**FAST_CONFIG, "lam": 10**400}}, "lam"),
+        ({"config": {**FAST_CONFIG, "seed": 1.5}}, "seed"),
+        ({"config": {**FAST_CONFIG, "seed": True}}, "seed"),
+        ({"config": {**FAST_CONFIG, "selector": 3}}, "selector"),
+        ({"config": {**FAST_CONFIG, "warp": 9}}, "warp"),
+    ])
+    def test_bad_manifest_exits_2_naming_its_key(self, tmp_path, capsys, manifest, key):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert f"`{key}`" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, keys", [
+        ({"sigma": "abc", "buffer_size": "0"}, ["sigma", "buffer_size"]),
+        ({"K": "1.5", "tasks": "0", "selector": "magic"}, ["K", "tasks", "selector"]),
+    ])
+    def test_bad_ini_exits_2_listing_every_key(self, tmp_path, capsys, extra, keys):
+        path = tmp_path / "run.ini"
+        path.write_text("[stream]\nlambda = 6028\nseed = 3\n"
+                        + "".join(f"{k} = {v}\n" for k, v in extra.items()))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(f"`{key}`" in err for key in keys)
+
+    def test_valid_values_name_every_key(self):
+        assert set(VALID_VALUES) == {f.metadata["key"] for f in fields(StreamConfig)}
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.lists(
+        st.tuples(st.sampled_from(sorted(VALID_VALUES)),
+                  st.sampled_from(["valid", "0", "-1", "nan", "inf", "junk"])),
+        min_size=1, max_size=3, unique_by=lambda change: change[0],
+    ))
+    def test_perturbed_config_runs_or_exits_2(self, changes):
+        flags, invalid = [], []
+        for key, kind in changes:
+            valid, zero_ok = VALID_VALUES[key]
+            value = valid if kind == "valid" else "abc" if kind == "junk" else kind
+            flags += ["--override", f"{key}={value}"]
+            if kind != "valid" and key != "run_id" and not (kind == "0" and zero_ok):
+                invalid.append(key)
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            path = Path(tmp) / "run.ini"
+            write_minimal_config(path)
+            code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "o")]
+                        + FAST_OVERRIDES + flags)
+        assert code == (EXIT_CONFIG if invalid else EXIT_OK), err.getvalue()
+        assert all(f"`{key}`" in err.getvalue() for key in invalid)
 
     def test_seed_flag_overrides(self, tmp_path):
         path = tmp_path / "run.ini"

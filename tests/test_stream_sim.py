@@ -181,6 +181,23 @@ class TestStreamConfigValidate:
         for word in ("lambda", "sigma", "selector", "buffer_size", "n_classes"):
             assert word in joined
 
+    @pytest.mark.parametrize("change, key", [
+        (dict(lam=float("nan")), "lambda"),
+        (dict(learning_rate=float("inf")), "learning_rate"),
+        (dict(seed=1.5), "seed"),
+        (dict(grad_steps=True), "K"),
+        (dict(selector=3), "selector"),
+        (dict(dim="16"), "dim"),
+        (dict(tasks=None), "tasks"),
+        (dict(c_s_override=0.0), "c_s_override"),
+        (dict(noise_std=-0.1), "noise_std"),
+        (dict(fingerprint_length=3), "fingerprint_length"),
+    ])
+    def test_rejects_bad_types_and_ranges(self, change, key):
+        errors = StreamConfig(**change).validate()
+        assert len(errors) == 1
+        assert f"`{key}`" in errors[0]
+
     def test_run_experiment_rejects_invalid(self):
         with pytest.raises(ValueError, match="sigma"):
             run_experiment(tiny_config(sigma=0.0))
