@@ -4,12 +4,15 @@ The buffer fills directly while it has room; once full, each offered
 batch triggers a Retain-Drop exchange: a small number of novel batch
 samples (low similarity to the fingerprints) replace redundant residents
 (high similarity), with the exchange size shrinking as the stream grows.
+The reservoir and keep-first baselines differ only in that exchange.
 """
 
 import logging
 from dataclasses import dataclass
 
 import numpy as np
+
+from .learner import EmbeddingBatch
 
 logger = logging.getLogger(__name__)
 
@@ -23,35 +26,71 @@ class BufferItem:
 
 
 class RehearsalBuffer:
-    """Capacity-bounded store of past samples; single-writer."""
+    """Capacity-bounded store of past samples, written only by the policies
+    below. Resident i is row i of ``sample_ids``, ``labels``, ``similarity``
+    (its score when stored; 0 if unscored) and the token embeddings."""
 
     def __init__(self, capacity):
         if capacity < 1:
             raise ValueError("buffer capacity must be >= 1")
         self.capacity = int(capacity)
-        self.items = []
         self.n_seen = 0
+        self.sample_ids = np.zeros(0, dtype=np.int64)
+        self.labels = np.zeros(0, dtype=np.int64)
+        self.similarity = np.zeros(0)
+        self._embeddings = np.zeros((0, 0, 0))
 
     def __len__(self):
-        return len(self.items)
-
-    @property
-    def is_full(self):
-        return len(self.items) >= self.capacity
+        return self.sample_ids.size
 
     def embeddings(self):
-        """Stacked (|items|, L, D) view of the stored token embeddings."""
-        return np.stack([it.embedding for it in self.items])
+        """The stored (len, L, D) token embeddings; callers only read them."""
+        return self._embeddings
 
-    def labels(self):
-        return np.array([it.label for it in self.items], dtype=np.int64)
+    @property
+    def items(self):
+        """A snapshot of the residents as records, in slot order."""
+        emb = self._embeddings.copy()
+        rows = zip(self.sample_ids.tolist(), self.labels.tolist(), self.similarity.tolist())
+        return tuple(BufferItem(i, emb[r], label, s) for r, (i, label, s) in enumerate(rows))
 
-    def dump_text(self):
-        """Debug dump: one line per resident (sample-id, label, similarity)."""
-        lines = [
-            f"{it.sample_id}\t{it.label}\t{it.similarity:.6f}" for it in self.items
-        ]
-        return "\n".join(lines)
+    def minibatch(self, size, rng):
+        """Up to ``size`` residents drawn uniformly without replacement, or None."""
+        if not len(self) or size < 1:
+            return None
+        idx = rng.choice(len(self), size=min(size, len(self)), replace=False)
+        return EmbeddingBatch(self._embeddings[idx], self.labels[idx], self.sample_ids[idx])
+
+    def _append(self, batch, similarity):
+        """Store the leading batch rows that fit and return how many did;
+        growing with the fill keeps peak memory below a preallocated store."""
+        n = min(self.capacity - len(self), len(batch))
+        if n == 0:
+            return 0
+        emb = batch.embeddings[:n]
+        self._embeddings = np.concatenate([self._embeddings, emb]) if len(self) else emb.copy()
+        self.sample_ids = np.concatenate([self.sample_ids, batch.sample_ids[:n]])
+        self.labels = np.concatenate([self.labels, batch.labels[:n]])
+        self.similarity = np.concatenate([self.similarity, similarity[:n]])
+        return n
+
+    def _overwrite(self, slots, batch, rows, similarity):
+        """Replace the residents in ``slots`` by the batch rows ``rows``."""
+        self._embeddings[slots] = batch.embeddings[rows]
+        self.sample_ids[slots] = batch.sample_ids[rows]
+        self.labels[slots] = batch.labels[rows]
+        self.similarity[slots] = similarity[rows]
+
+
+def _as_batch(offered):
+    """The offer as an EmbeddingBatch, stacking a BufferItem list; an empty one stores nothing."""
+    if isinstance(offered, EmbeddingBatch) or not offered:
+        return offered
+    return EmbeddingBatch(
+        np.stack([it.embedding for it in offered]),
+        np.array([it.label for it in offered], dtype=np.int64),
+        np.array([it.sample_id for it in offered], dtype=np.int64),
+    )
 
 
 def compute_update_count(b, m, n_seen, rng):
@@ -110,15 +149,14 @@ def weighted_sample_without_replacement(weights, k, rng):
     n = w.size
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    remaining = list(range(n))
+    pool = np.arange(n)  # ascending, as the draws index into it
     chosen = []
     warned = False
     for _ in range(k):
-        pool = np.array(remaining)
         pw = w[pool]
         total = pw.sum()
         if total > 0:
-            pick = pool[rng.choice(pool.size, p=pw / total)]
+            pos = rng.choice(pool.size, p=pw / total)
         else:
             if not warned:
                 logger.warning(
@@ -127,62 +165,69 @@ def weighted_sample_without_replacement(weights, k, rng):
                     k - len(chosen),
                 )
                 warned = True
-            pick = pool[rng.integers(0, pool.size)]
-        chosen.append(int(pick))
-        remaining.remove(int(pick))
+            pos = rng.integers(0, pool.size)
+        chosen.append(int(pool[pos]))
+        pool = np.delete(pool, pos)
     return chosen
 
 
-def update_buffer(buffer, batch_items, s_batch, s_buffer, rng):
+def update_buffer(buffer, batch, s_batch, s_buffer, rng):
     """Offer a batch to the buffer: fill while there is room, then Retain-Drop.
 
     Args:
         buffer: the RehearsalBuffer to update in place.
-        batch_items: list of BufferItem for the whole incoming batch.
+        batch: the whole incoming batch, an EmbeddingBatch or BufferItem list.
         s_batch: similarity of each batch sample to the fingerprints, (b,).
-        s_buffer: similarity of each current resident, (|items|,); may be
-            empty when the buffer is empty.
+        s_buffer: similarity of each current resident, (len(buffer),); may
+            be empty when the buffer is empty.
         rng: generator driving the exchange-count draw and both samplings.
 
     Returns:
         The updated buffer (same object).
     """
+    batch = _as_batch(batch)
     s_batch = np.asarray(s_batch, dtype=np.float64)
-    b = len(batch_items)
+    b = len(batch)
     if s_batch.shape != (b,):
         raise ValueError("s_batch length must match the batch")
     s_resident = np.asarray(s_buffer, dtype=np.float64).reshape(-1)
-    if s_resident.shape != (len(buffer.items),):
+    if s_resident.shape != (len(buffer),):
         raise ValueError("s_buffer length must match the buffer contents")
     n_seen_before = buffer.n_seen
 
-    # phase 1: direct fill
-    free = buffer.capacity - len(buffer.items)
-    fill = min(free, b)
-    for i in range(fill):
-        it = batch_items[i]
-        buffer.items.append(
-            BufferItem(it.sample_id, it.embedding, it.label, float(s_batch[i]))
-        )
-    rest = list(range(fill, b))
-
-    # phase 2: Retain-Drop exchange on the remainder
-    if rest:
+    fill = buffer._append(batch, s_batch)
+    if fill < b:  # Retain-Drop exchange on the rows that did not fit
         nu = compute_update_count(b, buffer.capacity, n_seen_before, rng)
-        nu = min(nu, len(rest), len(buffer.items))
+        nu = min(nu, b - fill, len(buffer))
         if nu >= 1:
-            pi_batch = rank_probabilities(s_batch[rest])
-            s_buf = np.concatenate([s_resident, s_batch[:fill]])
-            pi_buffer = rank_probabilities(s_buf)
+            pi_batch = rank_probabilities(s_batch[fill:])
+            pi_buffer = rank_probabilities(np.concatenate([s_resident, s_batch[:fill]]))
             retain = weighted_sample_without_replacement(pi_batch, nu, rng)
             drop = weighted_sample_without_replacement(1.0 - pi_buffer, nu, rng)
-            for slot, src in zip(drop, retain):
-                i = rest[src]
-                it = batch_items[i]
-                buffer.items[slot] = BufferItem(
-                    it.sample_id, it.embedding, it.label, float(s_batch[i])
-                )
+            buffer._overwrite(drop, batch, fill + np.array(retain), s_batch)
     buffer.n_seen += b
+    return buffer
+
+
+def reservoir_update(buffer, batch, rng):
+    """Classic reservoir sampling over the offered stream; unscored."""
+    batch = _as_batch(batch)
+    s_batch = np.zeros(len(batch))
+    fill = buffer._append(batch, s_batch)
+    buffer.n_seen += fill
+    for row in range(fill, len(batch)):
+        j = int(rng.integers(0, buffer.n_seen + 1))
+        if j < buffer.capacity:
+            buffer._overwrite(j, batch, row, s_batch)
+        buffer.n_seen += 1
+    return buffer
+
+
+def keep_first_update(buffer, batch):
+    """Fill-once baseline: residents are never replaced; unscored."""
+    batch = _as_batch(batch)
+    buffer._append(batch, np.zeros(len(batch)))
+    buffer.n_seen += len(batch)
     return buffer
 
 

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .buffer import (
-    BufferItem,
     RehearsalBuffer,
     compute_update_count,
+    keep_first_update,
     mmd_squared,
     update_buffer,
     weighted_sample_without_replacement,
@@ -22,7 +22,6 @@ from .core_math import batch_similarity, l2_normalize
 from .fingerprints import AttunementParams, FingerprintPool
 from .learner import EmbeddingBatch, PrototypeModel, loss_gradients, forward_loss
 from .seeding import substream, substream_indexed
-from .stream_sim import keep_first_update
 
 
 @dataclass
@@ -105,30 +104,22 @@ def _drift_stream_mmds(seed, tasks=5, batches_per_task=6, batch_size=20,
     fp = rng.standard_normal((n_fp, dim))
     rd = RehearsalBuffer(capacity)
     kf = RehearsalBuffer(capacity)
-    seen_sims = []
+    seen = np.zeros(0)  # similarity of every sample offered, by sample id
     u = l2_normalize(fp.sum(axis=0))
     w = rng.standard_normal(dim)
     v = l2_normalize(w - (w @ u) * u)
-    sid = 0
     for task in range(tasks):
         theta = np.pi * task / (tasks - 1)
         center = np.cos(theta) * u + np.sin(theta) * v
         for _ in range(batches_per_task):
             emb = center[None, None, :] + 0.1 * rng.standard_normal((batch_size, 1, dim))
             _, s = batch_similarity(emb, fp)
-            seen_sims.extend(s.tolist())
-            items = [BufferItem(sid + i, emb[i], task, float(s[i])) for i in range(batch_size)]
-            sid += batch_size
-            if rd.items:
-                s_buf = np.array([it.similarity for it in rd.items])
-            else:
-                s_buf = np.zeros(0)
-            update_buffer(rd, items, s, s_buf, rng)
-            keep_first_update(kf, items)
-    seen = np.array(seen_sims)
-    rd_sims = np.array([it.similarity for it in rd.items])
-    kf_sims = np.array([it.similarity for it in kf.items])
-    return mmd_squared(rd_sims, seen), mmd_squared(kf_sims, seen)
+            ids = np.arange(seen.size, seen.size + batch_size)
+            seen = np.concatenate([seen, s])
+            batch = EmbeddingBatch(emb, np.full(batch_size, task), ids)
+            update_buffer(rd, batch, s, seen[rd.sample_ids], rng)
+            keep_first_update(kf, batch)
+    return mmd_squared(seen[rd.sample_ids], seen), mmd_squared(seen[kf.sample_ids], seen)
 
 
 def buffer_drift_check(n_seeds=50, min_win_fraction=0.8):

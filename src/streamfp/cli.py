@@ -146,7 +146,11 @@ def cmd_run(args):
         return EXIT_CONFIG
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot create --out {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     started = time.time()
     try:
         report = run_experiment(config)

@@ -46,11 +46,6 @@ def select_coreset(similarity, sigma):
     return CoresetSelection(indices=order[lo:hi].copy(), sigma=float(sigma), c=c, similarity=s)
 
 
-def coreset_cost(similarity_subset):
-    """Average angular distance of a similarity subset (see angular_cost)."""
-    return angular_cost(similarity_subset)
-
-
 @dataclass
 class BoundReport:
     """Raw deviation measurement for the coreset quality guarantee."""
@@ -65,10 +60,10 @@ def check_quality_bound(batch_similarity, selection):
     Pure measurement: thresholds and pass/fail interpretation live in the
     verification suite, not here.
     """
-    full_cost = coreset_cost(batch_similarity)
+    full_cost = angular_cost(batch_similarity)
     if full_cost == 0.0:
         deviation = 0.0
     else:
-        sel_cost = coreset_cost(np.asarray(batch_similarity)[selection.indices])
+        sel_cost = angular_cost(np.asarray(batch_similarity)[selection.indices])
         deviation = abs(sel_cost - full_cost) / full_cost
     return BoundReport(deviation=deviation, sigma_b=selection.sigma * len(batch_similarity))

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .buffer import BufferItem, RehearsalBuffer, update_buffer
+from .buffer import RehearsalBuffer, keep_first_update, reservoir_update, update_buffer
 from .coreset import select_coreset
 from .core_math import batch_similarity
 from .fingerprints import aggregate
@@ -136,6 +136,12 @@ class StreamConfig:
         if all(isinstance(v, numbers.Real) for v in (self.n_classes, self.tasks)) \
                 and self.n_classes < self.tasks:
             errors.append(f"key `n_classes`: must be >= tasks ({self.tasks}), got {self.n_classes}")
+        # a pinned C_S that overflows would skip every batch
+        if not errors and self.pinned_batch_time is not None and self.c_s_override is None:
+            c_s = relative_complexity(
+                self.pinned_batch_time, self.lam, self.dataset_size, self.batch_size)
+            if not math.isfinite(c_s):
+                errors.append(f"keys `lambda` and `pinned_batch_time`: C_S = {c_s}, not finite")
         return errors
 
 
@@ -278,50 +284,10 @@ def kcenter_coreset(emd, sigma):
     return np.array(sorted(selected))
 
 
-def reservoir_update(buffer, batch_items, rng):
-    """Classic reservoir sampling over the offered stream."""
-    for it in batch_items:
-        if len(buffer.items) < buffer.capacity:
-            buffer.items.append(it)
-        else:
-            j = int(rng.integers(0, buffer.n_seen + 1))
-            if j < buffer.capacity:
-                buffer.items[j] = it
-        buffer.n_seen += 1
-    return buffer
-
-
-def keep_first_update(buffer, batch_items):
-    """Fill-once baseline: residents are never replaced."""
-    for it in batch_items:
-        if len(buffer.items) < buffer.capacity:
-            buffer.items.append(it)
-        buffer.n_seen += 1
-    return buffer
-
-
 def class_order_permutation(order_id, n_classes):
     """Built-in reproducible class orders: permutation from seed = order id."""
     rng = np.random.default_rng(int(order_id))
     return rng.permutation(n_classes)
-
-
-def _batch_items(batch):
-    return [
-        BufferItem(int(batch.sample_ids[i]), batch.embeddings[i], int(batch.labels[i]), 0.0)
-        for i in range(len(batch))
-    ]
-
-
-def _buffer_minibatch(buffer, size, rng):
-    if not buffer.items or size < 1:
-        return None
-    take = min(size, len(buffer.items))
-    idx = rng.choice(len(buffer.items), size=take, replace=False)
-    emb = np.stack([buffer.items[i].embedding for i in idx])
-    labels = np.array([buffer.items[i].label for i in idx], dtype=np.int64)
-    ids = np.array([buffer.items[i].sample_id for i in idx], dtype=np.int64)
-    return EmbeddingBatch(emb, labels, ids)
 
 
 def _concat_batches(a, b):
@@ -440,23 +406,22 @@ def run_experiment(config):
             batch.embeddings[sel_idx], batch.labels[sel_idx], batch.sample_ids[sel_idx]
         )
         train_batch = _concat_batches(
-            coreset_batch, _buffer_minibatch(buffer, len(sel_idx), retrieval_rng)
+            coreset_batch, buffer.minibatch(len(sel_idx), retrieval_rng)
         )
         train_step(model, train_batch)
         t2 = time.perf_counter()
-        items = _batch_items(batch)
         if config.buffer_policy == "streamfp":
             if s is None:
                 _, s = batch_similarity(batch.embeddings, aggregate(model.pool))
-            if buffer.items:
+            if len(buffer):
                 _, s_buf = batch_similarity(buffer.embeddings(), aggregate(model.pool))
             else:
                 s_buf = np.zeros(0)
-            update_buffer(buffer, items, s, s_buf, buf_rng)
+            update_buffer(buffer, batch, s, s_buf, buf_rng)
         elif config.buffer_policy == "reservoir":
-            reservoir_update(buffer, items, buf_rng)
+            reservoir_update(buffer, batch, buf_rng)
         elif config.buffer_policy == "keep_first":
-            keep_first_update(buffer, items)
+            keep_first_update(buffer, batch)
         t3 = time.perf_counter()
         timings["selection"] += t1 - t0
         timings["train"] += t2 - t1

@@ -10,8 +10,10 @@ from streamfp.buffer import (
     BufferItem,
     RehearsalBuffer,
     compute_update_count,
+    keep_first_update,
     mmd_squared,
     rank_probabilities,
+    reservoir_update,
     update_buffer,
     weighted_sample_without_replacement,
 )
@@ -206,6 +208,16 @@ class TestUpdateBuffer:
         assert len(buf) == 5
         assert buf.n_seen == 9
 
+    def test_empty_offer_changes_nothing(self):
+        buf = RehearsalBuffer(4)
+        rng = substream(5, "b")
+        update_buffer(buf, make_items(range(2)), np.zeros(2), np.zeros(0), rng)
+        update_buffer(buf, [], np.zeros(0), np.zeros(2), rng)
+        reservoir_update(buf, [], rng)
+        keep_first_update(buf, [])
+        assert [it.sample_id for it in buf.items] == [0, 1]
+        assert buf.n_seen == 2
+
     def test_similarity_length_mismatch(self):
         buf = RehearsalBuffer(4)
         rng = substream(4, "b")
@@ -276,10 +288,80 @@ class TestRehearsalBuffer:
         with pytest.raises(ValueError):
             RehearsalBuffer(0)
 
-    def test_dump_text(self):
-        buf = RehearsalBuffer(3)
-        update_buffer(buf, make_items([5, 6]), np.array([0.25, -0.5]),
-                      np.zeros(0), substream(1, "d"))
-        lines = buf.dump_text().splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("5\t0\t0.25")
+    def test_items_snapshot(self):
+        # one record per resident with its id, label, embedding and score
+        # when stored; later exchanges do not reach a snapshot
+        buf = RehearsalBuffer(2)
+        rng = substream(1, "d")
+        update_buffer(buf, make_items([5, 6]), np.array([0.25, -0.5]), np.zeros(0), rng)
+        before = buf.items
+        update_buffer(buf, make_items([7, 8]), np.array([0.1, 0.2]), np.array([0.25, -0.5]), rng)
+        assert [it.sample_id for it in buf.items] != [5, 6]
+        assert [(it.sample_id, it.label, it.similarity) for it in before] == \
+            [(5, 0, 0.25), (6, 0, -0.5)]
+        npt.assert_array_equal(before[0].embedding, make_items([5])[0].embedding)
+        npt.assert_array_equal(before[1].embedding, make_items([5, 6])[1].embedding)
+
+
+class TestGoldenDecisions:
+    """Exact decisions of seeded offer sequences, recorded before the buffer
+    moved from a list of records to arrays; any change to a draw, a fill or
+    an exchange shows here."""
+
+    @staticmethod
+    def _offers(sizes):
+        ids = np.arange(sum(sizes))
+        for chunk in np.split(ids, np.cumsum(sizes)[:-1]):
+            yield [BufferItem(int(i), np.full((1, 2), float(i)), int(i) % 3, 0.0)
+                   for i in chunk]
+
+    @staticmethod
+    def _state(buf):
+        return [it.sample_id for it in buf.items], buf.n_seen
+
+    def test_retain_drop(self):
+        # capacity 7: two fills, a straddling fill plus exchange (5 offered
+        # with 1 slot free), three full offers, the last with b=1 (nu = 0)
+        rng = substream(2024, "golden-retain-drop")
+        buf = RehearsalBuffer(7)
+        states = []
+        for items in self._offers([3, 3, 5, 4, 6, 2, 1]):
+            s_buf = np.array([it.similarity for it in buf.items])
+            update_buffer(buf, items, rng.uniform(-1, 1, size=len(items)), s_buf, rng)
+            states.append(self._state(buf))
+        assert states == [
+            ([0, 1, 2], 3),
+            ([0, 1, 2, 3, 4, 5], 6),
+            ([0, 1, 7, 3, 4, 8, 6], 11),
+            ([0, 1, 7, 3, 4, 14, 12], 15),
+            ([18, 1, 20, 3, 4, 19, 12], 21),
+            ([18, 1, 20, 3, 4, 21, 12], 23),
+            ([18, 1, 20, 3, 4, 21, 12], 24),
+        ]
+
+    def test_reservoir(self):
+        rng = substream(2024, "golden-reservoir")
+        buf = RehearsalBuffer(5)
+        states = [self._state(reservoir_update(buf, items, rng))
+                  for items in self._offers([3, 4, 6, 5])]
+        assert states == [
+            ([0, 1, 2], 3),
+            ([0, 1, 2, 6, 4], 7),
+            ([0, 1, 10, 9, 4], 13),
+            ([0, 14, 10, 9, 4], 18),
+        ]
+
+    def test_keep_first(self):
+        buf = RehearsalBuffer(5)
+        states = [self._state(keep_first_update(buf, items))
+                  for items in self._offers([3, 4, 2])]
+        assert states == [([0, 1, 2], 3), ([0, 1, 2, 3, 4], 7), ([0, 1, 2, 3, 4], 9)]
+
+    def test_sampler(self):
+        rng = substream(2024, "golden-sampler")
+        picks = [weighted_sample_without_replacement(rng.uniform(0, 1, size=9), 4, rng)
+                 for _ in range(3)]
+        assert picks == [[8, 6, 1, 2], [4, 7, 8, 2], [4, 0, 1, 6]]
+        # two positive weights, then the uniform fallback for three draws
+        w = np.array([0.0, 0.5, 0.0, 0.0, 0.2, 0.0])
+        assert weighted_sample_without_replacement(w, 5, rng) == [1, 4, 3, 2, 0]

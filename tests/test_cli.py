@@ -195,6 +195,9 @@ class TestRunCommand:
         (["--override", "tokens=0"], "tokens"),
         (["--override", "c_s_override=-1"], "c_s_override"),
         (["--seed", "-1"], "seed"),
+        # each is finite, but the C_S they give is not
+        (["--override", "lambda=1e300", "--override", "pinned_batch_time=1e300"],
+         "pinned_batch_time"),
     ])
     def test_bad_value_exits_2_naming_its_key(self, tmp_path, capsys, flags, key):
         path = tmp_path / "run.ini"
@@ -233,6 +236,15 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert all(f"`{key}`" in err for key in keys)
+
+    def test_out_that_cannot_be_created_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        write_minimal_config(path)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory")
+        code = main(["run", "--config", str(path), "--out", str(taken)] + FAST_OVERRIDES)
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_valid_values_name_every_key(self):
         assert set(VALID_VALUES) == {f.metadata["key"] for f in fields(StreamConfig)}

@@ -6,7 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from streamfp.coreset import check_quality_bound, coreset_cost, select_coreset
+from streamfp.core_math import angular_cost
+from streamfp.coreset import check_quality_bound, select_coreset
 
 
 def window_oracle(similarity, sigma):
@@ -99,16 +100,16 @@ class TestSelectCoreset:
 
 class TestCostAndBound:
     def test_cost_of_aligned_is_zero(self):
-        assert coreset_cost(np.ones(4)) == pytest.approx(0.0)
+        assert angular_cost(np.ones(4)) == pytest.approx(0.0)
 
     def test_cost_hand_value(self):
-        assert coreset_cost(np.array([0.5, 0.5])) == pytest.approx(np.pi / 3)
+        assert angular_cost(np.array([0.5, 0.5])) == pytest.approx(np.pi / 3)
 
     def test_partition_linearity(self):
         rng = np.random.default_rng(8)
         s = rng.uniform(-1, 1, size=12)
-        whole = coreset_cost(s)
-        part = (coreset_cost(s[:5]) * 5 + coreset_cost(s[5:]) * 7) / 12
+        whole = angular_cost(s)
+        part = (angular_cost(s[:5]) * 5 + angular_cost(s[5:]) * 7) / 12
         assert whole == pytest.approx(part)
 
     def test_full_sigma_zero_deviation(self):

@@ -192,6 +192,7 @@ class TestStreamConfigValidate:
         (dict(c_s_override=0.0), "c_s_override"),
         (dict(noise_std=-0.1), "noise_std"),
         (dict(fingerprint_length=3), "fingerprint_length"),
+        (dict(lam=1e300, pinned_batch_time=1e300), "lambda"),
     ])
     def test_rejects_bad_types_and_ranges(self, change, key):
         errors = StreamConfig(**change).validate()
