@@ -219,6 +219,9 @@ def cmd_verify(args):
     if args.trials < 10:
         print("config error: trials must be >= 10", file=sys.stderr)
         return EXIT_CONFIG
+    if args.seed < 0:
+        print(f"config error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_CONFIG
     results = VERIFY_SUITES[args.theorem](args.trials, args.seed)
     all_ok = True
     for res in results:
@@ -266,6 +269,17 @@ def cmd_bench(args):
     if min(args.batch_size, args.dim, args.fingerprints, args.repeats) < 1:
         print("config error: b, D, N, repeats must all be >= 1", file=sys.stderr)
         return EXIT_CONFIG
+    if args.seed < 0:
+        print(f"config error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.out:
+        # fail before any timing, not after: append mode creates a missing
+        # file but leaves an existing one intact
+        try:
+            open(args.out, "a").close()
+        except OSError as exc:
+            print(f"config error: cannot write --out {args.out}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     rows = bench_selectors(
         selectors, args.batch_size, args.dim, args.fingerprints, args.repeats,
         seed=args.seed,

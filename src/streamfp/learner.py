@@ -121,34 +121,35 @@ class SyntheticEmbedder:
         classes = self.task_classes(task)
         b = sample_indices.size
         emb = np.empty((b, self.tokens, self.dim), dtype=np.float64)
-        labels = np.empty(b, dtype=np.int64)
-        shift = self.task_shifts[task]
-        for j, idx in enumerate(sample_indices):
-            rng = substream_indexed(self.seed, f"sample-task{task}", int(idx))
+        labels = classes[sample_indices % classes.size]
+        scale = np.full(b, self.noise_std)
+        outlier = np.zeros(b, dtype=bool)
+        rngs = substream_indexed(self.seed, f"sample-task{task}", sample_indices)
+        # only the draws, in their fixed per-sample order, stay in the loop;
+        # each row's noise goes straight into emb[j]
+        for j, rng in enumerate(rngs):
             if self.outlier_fraction > 0 and rng.random() < self.outlier_fraction:
-                emb[j] = self.outlier_scale * rng.standard_normal(
-                    (self.tokens, self.dim)
-                )
+                rng.standard_normal(out=emb[j])
                 labels[j] = rng.integers(0, self.n_classes)
+                scale[j] = self.outlier_scale
+                outlier[j] = True
             elif (
                 self.dominant_fraction > 0
                 and rng.random() < self.dominant_fraction
             ):
                 # near-duplicate of the task's first class: a dominant
                 # clip repeated across the stream with tiny jitter
-                cls = classes[0]
-                mean = self.class_means[cls] + shift
-                emb[j] = mean + 0.1 * self.noise_std * rng.standard_normal(
-                    (self.tokens, self.dim)
-                )
-                labels[j] = cls
+                rng.standard_normal(out=emb[j])
+                labels[j] = classes[0]
+                scale[j] = 0.1 * self.noise_std
             else:
-                cls = classes[int(idx) % classes.size]
-                mean = self.class_means[cls] + shift
-                emb[j] = mean + self.noise_std * rng.standard_normal(
-                    (self.tokens, self.dim)
-                )
-                labels[j] = cls
+                rng.standard_normal(out=emb[j])
+        # the per-sample operations, batch-wide: noise_std * z,
+        # (0.1 * noise_std) * z or outlier_scale * z, then the class mean plus
+        # the task's drift on every row but the outliers; same bits as per row
+        emb *= scale[:, None, None]
+        means = self.class_means[labels] + self.task_shifts[task]
+        np.add(emb, means[:, None, :], out=emb, where=~outlier[:, None, None])
         ids = np.int64(task) * 10_000_000 + sample_indices
         return EmbeddingBatch(emb, labels, ids)
 

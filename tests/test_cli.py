@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamfp import cli
 from streamfp.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -300,6 +301,11 @@ class TestVerifyCommand:
         assert main(["verify", "sampler", "--trials", "2000"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("theorem", ["coreset", "buffer", "gradients", "sampler"])
+    def test_negative_seed_exits_2(self, capsys, theorem):
+        assert main(["verify", theorem, "--seed", "-1"]) == EXIT_CONFIG
+        assert "config error: --seed" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_empty_selector_list(self, capsys):
@@ -321,6 +327,19 @@ class TestBenchCommand:
         assert lines[0] == "selector,median_latency_s,samples_per_sec"
         assert len(lines) == 3
         assert capsys.readouterr().out.startswith("selector,")
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["bench", "--seed", "-1"]) == EXIT_CONFIG
+        assert "config error: --seed" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2_before_timing(self, tmp_path, capsys, monkeypatch):
+        def no_timing(*args, **kwargs):
+            raise AssertionError("the benchmark ran before --out was checked")
+
+        monkeypatch.setattr(cli, "bench_selectors", no_timing)
+        for out in (tmp_path / "missing" / "bench.csv", tmp_path):
+            assert main(["bench", "--out", str(out)]) == EXIT_CONFIG
+            assert "config error: cannot write --out" in capsys.readouterr().err
 
 
 class TestDumpConfig:

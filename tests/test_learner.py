@@ -1,5 +1,7 @@
 """Tests for the surrogate learner: embedders, model, metrics."""
 
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -98,6 +100,59 @@ class TestSyntheticEmbedder:
         a = emb.embed(0, np.arange(10))
         b = emb.embed(1, np.arange(10))
         assert not set(a.sample_ids.tolist()) & set(b.sample_ids.tolist())
+
+
+def _digest(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+
+class TestSyntheticEmbedderGolden:
+    """SHA-256 digests of embedder outputs, recorded from the per-sample
+    ``SeedSequence`` implementation; any change to a drawn bit shows here."""
+
+    BASE = dict(seed=11, n_classes=7, dim=5, tokens=3, n_tasks=3)
+    # name: (embedder overrides, task, indices, digests of emb, labels, ids)
+    CASES = {
+        "plain": ({}, 0, np.arange(20),
+                  ("869dd4f5f451420f", "3555dcdef3892f52", "f5c4cb24f4c9b43e")),
+        "outliers": ({"outlier_fraction": 0.3, "outlier_scale": 2.5}, 0, np.arange(20),
+                     ("94a3e182ede9a113", "d32f4d1e8f429b40", "f5c4cb24f4c9b43e")),
+        "dominant": ({"dominant_fraction": 0.3}, 1, np.arange(20),
+                     ("dc86eb017bcaa920", "b0804bd0d37ce50d", "7e8363c6bb40e852")),
+        "outliers_and_dominant": (
+            {"outlier_fraction": 0.2, "dominant_fraction": 0.3}, 1, np.arange(30),
+            ("a4908af0be199b09", "9bc63d9ff670c06b", "eaa0446f51cdda2c")),
+        "concentration_and_drift": (
+            {"class_concentration": 0.6, "drift_std": 0.5, "noise_std": 0.3}, 1,
+            np.arange(20),
+            ("32256839a90d67d1", "8338c326c78aadfd", "7e8363c6bb40e852")),
+        # 7 classes over 3 tasks: the last task holds the remainder (3 classes)
+        "last_task_remainder": ({"class_order": [3, 6, 0, 5, 1, 4, 2]}, 2, np.arange(20),
+                                ("434b8fb08fe1d691", "6032fc78aafae3a4", "7cbace08d5ae582a")),
+        "unsorted_repeated": (
+            {"outlier_fraction": 0.4, "dominant_fraction": 0.4}, 0, [9, 2, 9, 0, 5, 2],
+            ("4d7b5b18fbfc304f", "7e62dd168f9c6026", "1ed9bc7f0233037c")),
+        "two_word_indices": ({}, 1, [2**32 - 1, 2**32, 2**40 + 3, 7],
+                             ("1ed9a68d1e09cc0a", "e9d07f8fd2413ff8", "f2f697dd152032b0")),
+        "single": ({}, 0, [123456],
+                   ("a894c493d47b153b", "af5570f5a1810b7a", "87a676dd8ef682e2")),
+        "empty": ({}, 0, [],
+                  ("e3b0c44298fc1c14", "e3b0c44298fc1c14", "e3b0c44298fc1c14")),
+        "paper_shape": ({"n_classes": 100, "n_tasks": 10, "dim": 768, "tokens": 4}, 3,
+                        np.arange(8),
+                        ("2889ad20116a7a53", "38c2bb1364af1272", "ead8460b1ec66280")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_outputs_match_recorded_digests(self, name):
+        overrides, task, indices, digests = self.CASES[name]
+        config = {**self.BASE, **overrides}
+        batch = SyntheticEmbedder(**config).embed(task, indices)
+        assert batch.embeddings.shape == (len(indices), config["tokens"], config["dim"])
+        assert batch.embeddings.dtype == np.float64
+        assert batch.labels.dtype == batch.sample_ids.dtype == np.int64
+        got = tuple(_digest(a) for a in (batch.embeddings, batch.labels, batch.sample_ids))
+        assert got == digests
 
 
 class TestEmbeddingFile:
