@@ -243,7 +243,7 @@ def bench_selectors(selectors, batch_size, dim, n_fingerprints, repeats, seed=1)
             sel_rng = substream(seed, f"bench-{name}")
             t0 = time.perf_counter()
             if name == "streamfp":
-                _, s = batch_similarity(emd, fingerprints)
+                s = batch_similarity(emd, fingerprints)
                 select_coreset(s, sigma)
             elif name == "random":
                 random_coreset(batch_size, sigma, sel_rng)

@@ -28,9 +28,12 @@ def batch_similarity(emd, p_agg):
         p_agg: array of shape (N, D), length-aggregated fingerprints.
 
     Returns:
-        (s_full, s): s_full has shape (b, L, N) with the per-token,
-        per-fingerprint cosine similarities; s has shape (b,) and is the
-        mean of s_full over the token and fingerprint axes.
+        s of shape (b,): sample i's cosine similarity <e_hat_il, p_hat_n>
+        averaged over its L tokens and the N fingerprints.
+
+    The mean of the dot products is the dot product of the sums,
+    s = (sum_l e_hat_l) . (sum_n p_hat_n) / (L * N), so this costs
+    O(b*L*D + N*D) and never forms the (b, L, N) similarity tensor.
     """
     emd = np.asarray(emd, dtype=np.float64)
     p_agg = np.asarray(p_agg, dtype=np.float64)
@@ -42,13 +45,9 @@ def batch_similarity(emd, p_agg):
         raise ValueError(
             f"embedding dim {emd.shape[2]} does not match fingerprint dim {p_agg.shape[1]}"
         )
-    e_hat = l2_normalize(emd)
-    p_hat = l2_normalize(p_agg)
-    s_full = np.einsum("bld,nd->bln", e_hat, p_hat)
-    # mean over tokens (l) then fingerprints (n); einsum + mean keep a fixed
-    # sequential reduction order on a single thread
-    s = s_full.mean(axis=(1, 2))
-    return s_full, s
+    e_sum = l2_normalize(emd).sum(axis=1)  # (b, D)
+    p_sum = l2_normalize(p_agg).sum(axis=0)  # (D,)
+    return e_sum @ p_sum / (emd.shape[1] * p_agg.shape[0])
 
 
 def angular_cost(sims):

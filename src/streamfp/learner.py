@@ -10,7 +10,7 @@ fingerprints and gate receive real gradients through the loss.
 import logging
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -232,6 +232,17 @@ class PrototypeModel:
         """The attuned fingerprints, ``attune(pool, attn, r_select)``."""
         return attune(self.pool, self.attn, self.r_select)
 
+    def trainable_copy(self):
+        """A model that trains apart from this one: its own copies of the
+        prototypes, pool and gate (what ``train_step`` writes), sharing the
+        read-only frozen MLP bank."""
+        return replace(
+            self,
+            prototypes=self.prototypes.copy(),
+            pool=FingerprintPool(self.pool.weights.copy()),
+            attn=replace(self.attn, gate=self.attn.gate.copy()),
+        )
+
     @classmethod
     def init_random(cls, n_classes, dim, pool_count, pool_length, num_experts, rng,
                     learning_rate=0.001, grad_steps=1):
@@ -265,7 +276,7 @@ def forward_loss(model, batch, p_att=None):
     if p_att is None:
         p_att = model.attuned_pool()
     p_agg = p_att.sum(axis=1)
-    _, s = batch_similarity(batch.embeddings, p_agg)
+    s = batch_similarity(batch.embeddings, p_agg)
     pooled = batch.embeddings.mean(axis=1)
     feat = pooled * (1.0 + s)[:, None]
     logits = feat @ model.prototypes.T
@@ -279,7 +290,7 @@ def loss_gradients(model, batch):
     bsz, tokens, _ = emb.shape
     p_att, cache = attune(model.pool, model.attn, model.r_select, with_cache=True)
     p_agg = p_att.sum(axis=1)
-    s_full, s = batch_similarity(emb, p_agg)
+    s = batch_similarity(emb, p_agg)
     pooled = emb.mean(axis=1)
     feat = pooled * (1.0 + s)[:, None]
     logits = feat @ model.prototypes.T

@@ -7,6 +7,7 @@ translates directly into a batch-skipping schedule.
 
 import math
 import numbers
+import os
 import time
 import typing
 from dataclasses import asdict, dataclass, field, fields
@@ -142,7 +143,31 @@ class StreamConfig:
                 self.pinned_batch_time, self.lam, self.dataset_size, self.batch_size)
             if not math.isfinite(c_s):
                 errors.append(f"keys `lambda` and `pinned_batch_time`: C_S = {c_s}, not finite")
+        # a run whose largest float64 arrays cannot fit in memory is a config
+        # error, found before anything is allocated
+        if not errors:
+            row = self.tokens * self.dim
+            floats = (
+                2 * self.num_experts * self.dim * self.dim  # frozen MLP bank
+                + (self.tasks * self.eval_size + self.buffer_size + self.batch_size) * row
+                + self.n_fingerprints * self.fingerprint_length * self.dim
+            )
+            have = _physical_memory_bytes()
+            if have is not None and 8 * floats > have:
+                errors.append(
+                    f"key `dim`: D = {self.dim} needs about {8 * floats / 2**30:.3g} GiB of "
+                    f"float64 arrays (MLP bank 2*R*D^2, eval sets, buffer, batch, pool), "
+                    f"more than the {have / 2**30:.3g} GiB of physical memory")
         return errors
+
+
+def _physical_memory_bytes():
+    """Bytes of physical memory, or None where the platform does not tell."""
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return have if have > 0 else None
 
 
 def coerce(f, raw):
@@ -314,7 +339,7 @@ def _select(selector, sigma, model, batch, rng):
         return random_coreset(len(batch), sigma, rng), None
     if selector == "kcenter":
         return kcenter_coreset(batch.embeddings, sigma), None
-    _, s = batch_similarity(batch.embeddings, aggregate(model.pool))
+    s = batch_similarity(batch.embeddings, aggregate(model.pool))
     return select_coreset(s, sigma).indices, s
 
 
@@ -332,7 +357,6 @@ def run_experiment(config):
 
     t_start = time.perf_counter()
     seed = config.seed
-    init_rng = substream(seed, "init")
     sel_rng = substream(seed, "selection")
     buf_rng = substream(seed, "buffer")
     skip_rng = substream(seed, "skip")
@@ -353,30 +377,17 @@ def run_experiment(config):
         class_concentration=config.class_concentration,
         class_order=order,
     )
-    # evaluation uses clean, balanced samples from the same class geometry
-    eval_embedder = SyntheticEmbedder(
-        seed=seed,
+    # the run's one model, and so its one frozen MLP bank
+    model = PrototypeModel.init_random(
         n_classes=config.n_classes,
         dim=config.dim,
-        tokens=config.tokens,
-        n_tasks=config.tasks,
-        noise_std=config.noise_std,
-        drift_std=config.drift_std,
-        class_concentration=config.class_concentration,
-        class_order=order,
+        pool_count=config.n_fingerprints,
+        pool_length=config.fingerprint_length,
+        num_experts=config.num_experts,
+        rng=substream(seed, "init"),
+        learning_rate=config.learning_rate,
+        grad_steps=config.grad_steps,
     )
-
-    def new_model(rng):
-        return PrototypeModel.init_random(
-            n_classes=config.n_classes,
-            dim=config.dim,
-            pool_count=config.n_fingerprints,
-            pool_length=config.fingerprint_length,
-            num_experts=config.num_experts,
-            rng=rng,
-            learning_rate=config.learning_rate,
-            grad_steps=config.grad_steps,
-        )
 
     num_batches = config.dataset_size // config.batch_size
     num_batches = max(num_batches, config.tasks)
@@ -390,13 +401,6 @@ def run_experiment(config):
         local = batch_idx - task * batches_per_task
         start = local * config.batch_size
         return task, embedder.embed(task, np.arange(start, start + config.batch_size))
-
-    # eval sets live in a disjoint index range above any training sample
-    eval_base = config.dataset_size + 1_000_000
-    eval_sets = [
-        eval_embedder.embed(t, np.arange(eval_base, eval_base + config.eval_size))
-        for t in range(config.tasks)
-    ]
 
     def run_batch(model, buffer, batch, timings, sigma):
         t0 = time.perf_counter()
@@ -412,9 +416,9 @@ def run_experiment(config):
         t2 = time.perf_counter()
         if config.buffer_policy == "streamfp":
             if s is None:
-                _, s = batch_similarity(batch.embeddings, aggregate(model.pool))
+                s = batch_similarity(batch.embeddings, aggregate(model.pool))
             if len(buffer):
-                _, s_buf = batch_similarity(buffer.embeddings(), aggregate(model.pool))
+                s_buf = batch_similarity(buffer.embeddings(), aggregate(model.pool))
             else:
                 s_buf = np.zeros(0)
             update_buffer(buffer, batch, s, s_buf, buf_rng)
@@ -428,9 +432,10 @@ def run_experiment(config):
         timings["buffer"] += t3 - t2
 
     def warmup_batch_time():
-        """Median time of a batch on a throwaway model and buffer, which are
-        freed on return, before the run's own model is built."""
-        warm_model = new_model(substream(seed, "warmup-init"))
+        """Median time of a batch on a throwaway copy of the run's model,
+        which shares its frozen MLP bank, and a throwaway buffer; both are
+        freed on return."""
+        warm_model = model.trainable_copy()
         warm_buffer = RehearsalBuffer(config.buffer_size)
         warm_timings = {"selection": 0.0, "train": 0.0, "buffer": 0.0}
         per_batch = []
@@ -441,15 +446,40 @@ def run_experiment(config):
             per_batch.append(time.perf_counter() - tw)
         return float(np.median(per_batch))
 
-    # warm-up timing (or pinned measurement) -> C_S -> skip schedule; the
+    # warm-up timing (or pinned measurement) -> C_S -> skip schedule. The
     # warm-up draws from the selection, retrieval and buffer substreams
-    # before the run does, the models only from their own init substreams
+    # before the run does, but how many draws a batch makes is fixed by b,
+    # sigma and the buffer fill, never by a similarity value: the coreset
+    # size max(1, floor(sigma * b)), the retrieval mini-batch size, the
+    # compute_update_count draws, and one uniform per weighted draw (rank
+    # weights are all > 0 for n >= 2). So the warm-up copy's values reach
+    # no output.
     if config.pinned_batch_time is not None:
         batch_time = config.pinned_batch_time
     else:
         batch_time = warmup_batch_time()
-    model = new_model(init_rng)
     buffer = RehearsalBuffer(config.buffer_size)
+
+    # evaluation uses clean, balanced samples from the same class geometry,
+    # in an index range disjoint from any training sample; they are a pure
+    # function of (seed, task, index), built after the warm-up so that they
+    # are not resident during it
+    eval_embedder = SyntheticEmbedder(
+        seed=seed,
+        n_classes=config.n_classes,
+        dim=config.dim,
+        tokens=config.tokens,
+        n_tasks=config.tasks,
+        noise_std=config.noise_std,
+        drift_std=config.drift_std,
+        class_concentration=config.class_concentration,
+        class_order=order,
+    )
+    eval_base = config.dataset_size + 1_000_000
+    eval_sets = [
+        eval_embedder.embed(t, np.arange(eval_base, eval_base + config.eval_size))
+        for t in range(config.tasks)
+    ]
 
     if config.c_s_override is not None:
         c_s = config.c_s_override

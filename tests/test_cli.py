@@ -199,6 +199,8 @@ class TestRunCommand:
         # each is finite, but the C_S they give is not
         (["--override", "lambda=1e300", "--override", "pinned_batch_time=1e300"],
          "pinned_batch_time"),
+        # rejected by the memory estimate before anything is allocated
+        (["--override", "dim=1000000000"], "dim"),
     ])
     def test_bad_value_exits_2_naming_its_key(self, tmp_path, capsys, flags, key):
         path = tmp_path / "run.ini"

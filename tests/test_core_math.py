@@ -39,15 +39,32 @@ class TestL2Normalize:
         assert l2_normalize(x).shape == (4, 3, 6)
 
 
+# batch_similarity sums before it takes the dot product; the oracle takes
+# every per-token, per-fingerprint cosine first and then their mean, so the
+# two differ only by the order of float64 additions
+SIMILARITY_ATOL = 1e-15
+
+
+def cosine_tensor(emb, fp):
+    """The (b, L, N) cosines <e_hat_il, p_hat_n>."""
+    return np.einsum("bld,nd->bln", l2_normalize(emb), l2_normalize(fp))
+
+
+def similarity_oracle(emb, fp):
+    return cosine_tensor(emb, fp).mean(axis=(1, 2))
+
+
 class TestBatchSimilarity:
     def test_hand_dot_products(self):
         # b=2, L=1, N=1, D=2: first sample equals the fingerprint, second
         # is orthogonal to it
         emb = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
         fp = np.array([[1.0, 0.0]])
-        s_full, s = batch_similarity(emb, fp)
+        s = batch_similarity(emb, fp)
+        npt.assert_allclose(cosine_tensor(emb, fp), [[[1.0]], [[0.0]]], atol=1e-12)
         npt.assert_allclose(s, [1.0, 0.0], atol=1e-12)
-        assert s_full.shape == (2, 1, 1)
+        npt.assert_allclose(s, similarity_oracle(emb, fp), rtol=0, atol=SIMILARITY_ATOL)
+        assert s.shape == (2,)
 
     def test_self_similarity_is_one(self):
         rng = np.random.default_rng(11)
@@ -57,7 +74,7 @@ class TestBatchSimilarity:
         fp[:] = fp[0]
         emb = np.repeat(fp[0][None, None, :], 4, axis=0)
         emb = np.repeat(emb, 2, axis=1)
-        _, s = batch_similarity(emb, fp)
+        s = batch_similarity(emb, fp)
         npt.assert_allclose(s, 1.0, atol=1e-9)
 
     def test_orthogonal_gives_zero(self):
@@ -65,26 +82,46 @@ class TestBatchSimilarity:
         emb[:, 0, 0] = 1.0
         fp = np.zeros((2, 4))
         fp[:, 1] = 1.0
-        _, s = batch_similarity(emb, fp)
+        s = batch_similarity(emb, fp)
         npt.assert_allclose(s, 0.0, atol=1e-12)
 
     def test_range(self):
         rng = np.random.default_rng(12)
         emb = rng.standard_normal((30, 3, 5))
         fp = rng.standard_normal((4, 5))
-        _, s = batch_similarity(emb, fp)
+        s = batch_similarity(emb, fp)
         assert np.all(s >= -1.0 - 1e-9) and np.all(s <= 1.0 + 1e-9)
 
     def test_mean_reduction_matches_manual(self):
         rng = np.random.default_rng(13)
         emb = rng.standard_normal((6, 2, 4))
         fp = rng.standard_normal((3, 4))
-        s_full, s = batch_similarity(emb, fp)
-        e_hat = l2_normalize(emb)
-        p_hat = l2_normalize(fp)
-        manual = np.einsum("bld,nd->bln", e_hat, p_hat)
-        npt.assert_allclose(s_full, manual, atol=1e-12)
+        s = batch_similarity(emb, fp)
+        # the oracle's cosines, one dot product of unit vectors at a time
+        manual = np.array([[[
+            emb[i, l] @ fp[n] / (np.linalg.norm(emb[i, l]) * np.linalg.norm(fp[n]))
+            for n in range(3)] for l in range(2)] for i in range(6)])
+        npt.assert_allclose(cosine_tensor(emb, fp), manual, atol=1e-12)
         npt.assert_allclose(s, manual.mean(axis=(1, 2)), atol=1e-12)
+        npt.assert_allclose(s, similarity_oracle(emb, fp), rtol=0, atol=SIMILARITY_ATOL)
+
+    # (b, L, N, D): an eval set and a paper-scale batch, the tiny test
+    # shape, and a replay-sized resident buffer
+    @pytest.mark.parametrize("b, tokens, n_fp, dim", [
+        (400, 4, 100, 768), (96, 4, 100, 768), (20, 2, 8, 16), (4096, 2, 8, 64),
+    ])
+    def test_factorised_mean_matches_einsum_oracle(self, b, tokens, n_fp, dim):
+        rng = np.random.default_rng(b + dim)
+        # a shared direction keeps the similarities well away from zero
+        shared = rng.standard_normal(dim)
+        emb = shared + rng.standard_normal((b, tokens, dim))
+        fp = shared + 0.05 * rng.standard_normal((n_fp, dim))
+        emb[0] = 0.0  # a zero sample
+        emb[1, 0] = 0.0  # a zero token
+        fp[0] = 0.0  # a zero fingerprint
+        s = batch_similarity(emb, fp)
+        assert s.shape == (b,) and s[0] == 0.0
+        npt.assert_allclose(s, similarity_oracle(emb, fp), rtol=0, atol=SIMILARITY_ATOL)
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):

@@ -281,6 +281,22 @@ class TestTrainStep:
         d2 = np.linalg.norm(m2.prototypes - small_model(seed=18).prototypes)
         assert d2 > d1
 
+    def test_trainable_copy_trains_apart_and_shares_the_bank(self):
+        model = small_model(seed=24)
+        before = (model.prototypes.copy(), model.pool.weights.copy(), model.attn.gate.copy())
+        copy = model.trainable_copy()
+        assert copy.attn.keys is model.attn.keys
+        assert copy.attn.values is model.attn.values
+        assert (copy.learning_rate, copy.grad_steps, copy.r_select) == \
+            (model.learning_rate, model.grad_steps, model.r_select)
+        train_step(copy, random_batch(24), steps=2)
+        assert not np.array_equal(copy.prototypes, before[0])
+        assert not np.array_equal(copy.pool.weights, before[1])
+        assert not np.array_equal(copy.attn.gate, before[2])
+        npt.assert_array_equal(model.prototypes, before[0])
+        npt.assert_array_equal(model.pool.weights, before[1])
+        npt.assert_array_equal(model.attn.gate, before[2])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PrototypeModel(np.zeros((2, 3)),

@@ -4,6 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from streamfp import stream_sim
+from streamfp.learner import PrototypeModel
 from streamfp.stream_sim import (
     CSV_COLUMNS,
     StreamConfig,
@@ -193,11 +195,29 @@ class TestStreamConfigValidate:
         (dict(noise_std=-0.1), "noise_std"),
         (dict(fingerprint_length=3), "fingerprint_length"),
         (dict(lam=1e300, pinned_batch_time=1e300), "lambda"),
+        # float64 arrays far beyond any machine's memory
+        (dict(dim=10**9), "dim"),
+        (dict(eval_size=10**13), "dim"),
     ])
     def test_rejects_bad_types_and_ranges(self, change, key):
         errors = StreamConfig(**change).validate()
         assert len(errors) == 1
         assert f"`{key}`" in errors[0]
+
+    def test_memory_estimate_against_physical_memory(self, monkeypatch):
+        # paper shape: 2*R*D^2 bank, 3*400 eval samples + 512 buffered + 64
+        # in the batch of L*D floats each, and an (N, L_p, D) pool
+        cfg = StreamConfig(dim=768, tokens=4, n_fingerprints=100, fingerprint_length=4,
+                           batch_size=64, buffer_size=512, tasks=3, eval_size=400)
+        need = 8 * (2 * 3 * 768**2 + (3 * 400 + 512 + 64) * 4 * 768 + 100 * 4 * 768)
+        monkeypatch.setattr(stream_sim, "_physical_memory_bytes", lambda: need)
+        assert cfg.validate() == []
+        monkeypatch.setattr(stream_sim, "_physical_memory_bytes", lambda: need - 1)
+        errors = cfg.validate()
+        assert len(errors) == 1 and "`dim`" in errors[0] and "physical memory" in errors[0]
+        # where the platform does not tell, nothing is rejected
+        monkeypatch.setattr(stream_sim, "_physical_memory_bytes", lambda: None)
+        assert StreamConfig(dim=10**9).validate() == []
 
     def test_run_experiment_rejects_invalid(self):
         with pytest.raises(ValueError, match="sigma"):
@@ -255,6 +275,45 @@ class TestRunExperiment:
         assert report.c_s == 1.0
         assert report.selection_throughput_sps == 123.0
         assert report.total_runtime_s == 4.5
+
+
+# run outputs with the warm-up on and C_S pinned, recorded when the warm-up
+# still trained a model of its own (own init substream, own MLP bank). The
+# warm-up's draws shape every output here (a pinned run differs), but its
+# model's values must reach none.
+GOLDEN_UNPINNED = [
+    (dict(dataset_size=200, batch_size=10, tasks=2, n_classes=4, dim=8, tokens=2,
+          buffer_size=20, eval_size=50, seed=3, c_s_override=2.0, warmup_batches=6,
+          outlier_fraction=0.2, outlier_scale=3.0, learning_rate=0.3),
+     [[0.82], [0.8, 0.44]], 0.62),
+    (dict(dataset_size=300, batch_size=12, tasks=3, n_classes=6, dim=16, tokens=1,
+          n_fingerprints=5, fingerprint_length=4, num_experts=2, buffer_size=30,
+          eval_size=40, seed=11, c_s_override=1.0, warmup_batches=30,
+          class_concentration=0.5, learning_rate=0.5, grad_steps=2),
+     [[0.85], [0.65, 0.9], [0.65, 0.25, 0.9]], 0.6),
+]
+
+
+class TestWarmup:
+    @pytest.mark.parametrize("fields, acc_rows, avg_accuracy", GOLDEN_UNPINNED)
+    def test_unpinned_outputs_match_recorded(self, fields, acc_rows, avg_accuracy):
+        report = run_experiment(StreamConfig(**fields))
+        assert report.acc_rows == acc_rows
+        assert report.avg_accuracy == avg_accuracy
+
+    def test_unpinned_run_builds_one_model(self, monkeypatch):
+        # the warm-up trains a copy of the run's model, so a run pays for
+        # one frozen MLP bank
+        calls = []
+        init_random = PrototypeModel.init_random
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return init_random(*args, **kwargs)
+
+        monkeypatch.setattr(PrototypeModel, "init_random", counting)
+        run_experiment(StreamConfig(**GOLDEN_UNPINNED[0][0]))
+        assert len(calls) == 1
 
 
 class TestMetricsCsv:
