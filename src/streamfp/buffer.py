@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core_math import unit_token_sums
 from .learner import EmbeddingBatch
 
 logger = logging.getLogger(__name__)
@@ -28,7 +29,11 @@ class BufferItem:
 class RehearsalBuffer:
     """Capacity-bounded store of past samples, written only by the policies
     below. Resident i is row i of ``sample_ids``, ``labels``, ``similarity``
-    (its score when stored; 0 if unscored) and the token embeddings."""
+    (its score when stored; 0 if unscored) and the token embeddings.
+
+    The writers only flag the rows they wrote; ``unit_token_sums`` brings
+    those rows of its cache up to date when it is asked, so a policy that
+    never scores residents never pays for the cache."""
 
     def __init__(self, capacity):
         if capacity < 1:
@@ -39,6 +44,8 @@ class RehearsalBuffer:
         self.labels = np.zeros(0, dtype=np.int64)
         self.similarity = np.zeros(0)
         self._embeddings = np.zeros((0, 0, 0))
+        self._sums = np.zeros((0, 0))  # unit_token_sums of the rows not stale
+        self._stale = np.zeros(0, dtype=bool)  # rows written since the last sums
 
     def __len__(self):
         return self.sample_ids.size
@@ -46,6 +53,19 @@ class RehearsalBuffer:
     def embeddings(self):
         """The stored (len, L, D) token embeddings; callers only read them."""
         return self._embeddings
+
+    def unit_token_sums(self):
+        """The (len, D) ``core_math.unit_token_sums`` of the residents, equal
+        row for row to recomputing them; callers only read them."""
+        stale = np.flatnonzero(self._stale)
+        if stale.size:
+            grow = len(self) - len(self._sums)
+            if grow:  # rows appended since the last call, all of them stale
+                d = self._embeddings.shape[2]
+                self._sums = np.concatenate([self._sums.reshape(-1, d), np.empty((grow, d))])
+            self._sums[stale] = unit_token_sums(self._embeddings[stale])
+            self._stale[stale] = False
+        return self._sums
 
     @property
     def items(self):
@@ -72,6 +92,7 @@ class RehearsalBuffer:
         self.sample_ids = np.concatenate([self.sample_ids, batch.sample_ids[:n]])
         self.labels = np.concatenate([self.labels, batch.labels[:n]])
         self.similarity = np.concatenate([self.similarity, similarity[:n]])
+        self._stale = np.concatenate([self._stale, np.ones(n, dtype=bool)])
         return n
 
     def _overwrite(self, slots, batch, rows, similarity):
@@ -80,6 +101,7 @@ class RehearsalBuffer:
         self.sample_ids[slots] = batch.sample_ids[rows]
         self.labels[slots] = batch.labels[rows]
         self.similarity[slots] = similarity[rows]
+        self._stale[slots] = True
 
 
 def _as_batch(offered):
@@ -140,23 +162,39 @@ def weighted_sample_without_replacement(weights, k, rng):
 
     Falls back to uniform sampling over the remaining pool if the
     positive weights run out before k draws are made.
+
+    Reproduces ``rng.choice(pool.size, p=w[pool] / w[pool].sum())`` over the
+    shrinking pool draw for draw, final generator state included: each
+    weighted draw builds the CDF as ``Generator.choice`` does and consumes
+    one ``rng.random()``, without its validation of ``p``. The remaining
+    weights and indices are compacted in place after each draw. A draw
+    still costs O(n): prefix sums kept across a removal would differ from a
+    fresh cumsum in floating point, and so would pick differently.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty vector")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
+    with np.errstate(over="ignore"):
+        finite_total = np.isfinite(w.sum())
+    if not finite_total:
+        raise ValueError("weights must have a finite sum")
     n = w.size
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    pool = np.arange(n)  # ascending, as the draws index into it
+    live = w.copy()  # live[:m] are the weights of pool[:m], in ascending index order
+    pool = np.arange(n)
     chosen = []
     warned = False
-    for _ in range(k):
-        pw = w[pool]
-        total = pw.sum()
+    for m in range(n, n - k, -1):
+        total = live[:m].sum()
         if total > 0:
-            pos = rng.choice(pool.size, p=pw / total)
+            cdf = (live[:m] / total).cumsum()
+            cdf /= cdf[-1]
+            pos = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             if not warned:
                 logger.warning(
@@ -165,9 +203,10 @@ def weighted_sample_without_replacement(weights, k, rng):
                     k - len(chosen),
                 )
                 warned = True
-            pos = rng.integers(0, pool.size)
+            pos = int(rng.integers(0, m))
         chosen.append(int(pool[pos]))
-        pool = np.delete(pool, pos)
+        live[pos:m - 1] = live[pos + 1:m]
+        pool[pos:m - 1] = pool[pos + 1:m]
     return chosen
 
 

@@ -20,6 +20,33 @@ def l2_normalize(v):
     return v / (norm + NORM_EPS)
 
 
+def unit_token_sums(emd):
+    """Per-sample sum of the L2-normalized token embeddings.
+
+    Maps (b, L, D) to (b, D); each row depends on its own sample only, so a
+    row computed alone equals the same row computed in any batch.
+    """
+    return l2_normalize(emd).sum(axis=1)
+
+
+def sum_similarity(e_sum, p_agg, tokens):
+    """Mean cosine similarity from per-sample unit-token sums.
+
+    Args:
+        e_sum: array of shape (b, D), ``unit_token_sums`` of the samples.
+        p_agg: array of shape (N, D), length-aggregated fingerprints.
+        tokens: L, the number of tokens each row of ``e_sum`` sums.
+
+    Returns:
+        s of shape (b,): sample i's cosine similarity <e_hat_il, p_hat_n>
+        averaged over its L tokens and the N fingerprints. The mean of the
+        dot products is the dot product of the sums,
+        s = (sum_l e_hat_l) . (sum_n p_hat_n) / (L * N).
+    """
+    p_sum = l2_normalize(p_agg).sum(axis=0)  # (D,)
+    return e_sum @ p_sum / (tokens * p_agg.shape[0])
+
+
 def batch_similarity(emd, p_agg):
     """Mean cosine similarity between token embeddings and fingerprint rows.
 
@@ -28,12 +55,9 @@ def batch_similarity(emd, p_agg):
         p_agg: array of shape (N, D), length-aggregated fingerprints.
 
     Returns:
-        s of shape (b,): sample i's cosine similarity <e_hat_il, p_hat_n>
-        averaged over its L tokens and the N fingerprints.
-
-    The mean of the dot products is the dot product of the sums,
-    s = (sum_l e_hat_l) . (sum_n p_hat_n) / (L * N), so this costs
-    O(b*L*D + N*D) and never forms the (b, L, N) similarity tensor.
+        s of shape (b,), ``sum_similarity`` of the samples' unit-token sums.
+        This costs O(b*L*D + N*D) and never forms the (b, L, N) similarity
+        tensor.
     """
     emd = np.asarray(emd, dtype=np.float64)
     p_agg = np.asarray(p_agg, dtype=np.float64)
@@ -45,9 +69,7 @@ def batch_similarity(emd, p_agg):
         raise ValueError(
             f"embedding dim {emd.shape[2]} does not match fingerprint dim {p_agg.shape[1]}"
         )
-    e_sum = l2_normalize(emd).sum(axis=1)  # (b, D)
-    p_sum = l2_normalize(p_agg).sum(axis=0)  # (D,)
-    return e_sum @ p_sum / (emd.shape[1] * p_agg.shape[0])
+    return sum_similarity(unit_token_sums(emd), p_agg, emd.shape[1])
 
 
 def angular_cost(sims):

@@ -14,7 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core_math import NORM_EPS, batch_similarity, l2_normalize
+from .core_math import (
+    NORM_EPS,
+    batch_similarity,
+    l2_normalize,
+    sum_similarity,
+    unit_token_sums,
+)
 from .fingerprints import (
     AttunementParams,
     FingerprintPool,
@@ -290,7 +296,8 @@ def loss_gradients(model, batch):
     bsz, tokens, _ = emb.shape
     p_att, cache = attune(model.pool, model.attn, model.r_select, with_cache=True)
     p_agg = p_att.sum(axis=1)
-    s = batch_similarity(emb, p_agg)
+    e_sum = unit_token_sums(emb)  # (b, D)
+    s = sum_similarity(e_sum, p_agg, tokens)
     pooled = emb.mean(axis=1)
     feat = pooled * (1.0 + s)[:, None]
     logits = feat @ model.prototypes.T
@@ -308,7 +315,6 @@ def loss_gradients(model, batch):
 
     # through the similarity: S_i = mean_{l,n} <e_hat_il, p_hat_n>; only the
     # fingerprint side is a parameter. Exact Jacobian of p / (|p| + eps).
-    e_sum = l2_normalize(emb).sum(axis=1)  # (b, D)
     n_fp = p_agg.shape[0]
     q = (ds[:, None] * e_sum).sum(axis=0) / (tokens * n_fp)  # (D,)
     norms = np.sqrt((p_agg * p_agg).sum(axis=1))

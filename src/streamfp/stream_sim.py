@@ -16,7 +16,7 @@ import numpy as np
 
 from .buffer import RehearsalBuffer, keep_first_update, reservoir_update, update_buffer
 from .coreset import select_coreset
-from .core_math import batch_similarity
+from .core_math import batch_similarity, sum_similarity
 from .fingerprints import aggregate
 from .learner import (
     EmbeddingBatch,
@@ -418,7 +418,11 @@ def run_experiment(config):
             if s is None:
                 s = batch_similarity(batch.embeddings, aggregate(model.pool))
             if len(buffer):
-                s_buf = batch_similarity(buffer.embeddings(), aggregate(model.pool))
+                # residents' embeddings never change, so their unit-token
+                # sums are cached and only the fingerprint side is new
+                s_buf = sum_similarity(
+                    buffer.unit_token_sums(), aggregate(model.pool), config.tokens
+                )
             else:
                 s_buf = np.zeros(0)
             update_buffer(buffer, batch, s, s_buf, buf_rng)

@@ -17,6 +17,9 @@ from streamfp.buffer import (
     update_buffer,
     weighted_sample_without_replacement,
 )
+from streamfp import buffer as buffer_module
+from streamfp.core_math import batch_similarity, l2_normalize, sum_similarity
+from streamfp.learner import EmbeddingBatch
 from streamfp.seeding import substream, substream_indexed
 
 
@@ -148,6 +151,143 @@ class TestWeightedSampling:
             weighted_sample_without_replacement(np.array([0.5, -0.1]), 1, rng)
         with pytest.raises(ValueError):
             weighted_sample_without_replacement(np.array([0.5]), 2, rng)
+
+
+def choice_sampler(weights, k, rng):
+    """The sampler as it was before its draw was inlined: one
+    ``rng.choice(p=...)`` over the gathered remaining weights per draw."""
+    w = np.asarray(weights, dtype=np.float64)
+    pool = np.arange(w.size)
+    chosen = []
+    for _ in range(k):
+        pw = w[pool]
+        total = pw.sum()
+        if total > 0:
+            pos = rng.choice(pool.size, p=pw / total)
+        else:
+            pos = rng.integers(0, pool.size)
+        chosen.append(int(pool[pos]))
+        pool = np.delete(pool, pos)
+    return chosen
+
+
+class TestSamplerMatchesChoice:
+    def test_oracle(self, caplog):
+        # uniform, rank, 1 - rank and ~70%-zero weights; the zero-weight
+        # cases run into the uniform fallback when k exceeds the positives
+        cases = substream(7, "sampler-oracle")
+        caplog.set_level(logging.ERROR, logger="streamfp.buffer")
+        for case in range(320):
+            n = int(cases.integers(1, 5000))
+            k = int(cases.integers(1, min(n, 300) + 1))
+            kind = case % 4
+            if kind == 0:
+                w = np.ones(n)
+            elif kind == 1:
+                w = rank_probabilities(cases.uniform(-1, 1, size=n))
+            elif kind == 2:
+                w = 1.0 - rank_probabilities(cases.uniform(-1, 1, size=n))
+            else:
+                w = cases.uniform(0, 1, size=n) * (cases.uniform(size=n) >= 0.7)
+            want_rng = substream_indexed(8, "sampler-oracle-draws", case)
+            got_rng = substream_indexed(8, "sampler-oracle-draws", case)
+            want = choice_sampler(w, k, want_rng)
+            assert weighted_sample_without_replacement(w, k, got_rng) == want, (n, k, kind)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_cdf_rounding_boundary(self):
+        # two weights whose first CDF entry lands within an ulp of the one
+        # uniform the draw consumes, where normalizing before the cumsum (as
+        # Generator.choice does) and dividing the cumsum by the total round
+        # to opposite sides of it; random cases almost never get this close
+        boundaries = 0
+        for seed in range(20):
+            u = np.random.default_rng(seed).random()
+            a = u / (1.0 - u)
+            for step in range(-64, 64):
+                w = np.array([a + step * np.spacing(a), 1.0])
+                cdf = (w / w.sum()).cumsum()
+                cdf /= cdf[-1]
+                other = w.cumsum() / w.sum()
+                other /= other[-1]
+                if (cdf[0] <= u) == (other[0] <= u):
+                    continue
+                boundaries += 1
+                want = np.random.default_rng(seed).choice(2, p=w / w.sum())
+                assert weighted_sample_without_replacement(
+                    w, 1, np.random.default_rng(seed)) == [want]
+                break
+        assert boundaries >= 3
+
+    @pytest.mark.parametrize("weights", [
+        [0.5, np.nan, 0.2],
+        [np.nan, np.nan],
+        [0.5, np.inf, 0.2],
+        [1e308, 1e308, 1.0],  # finite weights whose sum overflows
+    ], ids=["nan", "all-nan", "inf", "overflowing-total"])
+    def test_non_finite_weights_raise(self, weights):
+        rng = substream(9, "sample")
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="finite"):
+            weighted_sample_without_replacement(np.array(weights), 1, rng)
+        assert rng.bit_generator.state == before
+
+
+class TestUnitTokenSumsCache:
+    """``RehearsalBuffer.unit_token_sums`` equals recomputing the sums from
+    the stored embeddings, bit for bit, after every kind of write."""
+
+    @pytest.mark.parametrize("tokens", [2, 4])
+    def test_matches_recomputation_after_every_write(self, tokens):
+        rng = substream(tokens, "cache")
+        dim, capacity = 64, 16
+        p_agg = rng.standard_normal((3, dim))
+        buf = RehearsalBuffer(capacity)
+        next_id = 0
+
+        def offer(b):
+            nonlocal next_id
+            batch = EmbeddingBatch(rng.standard_normal((b, tokens, dim)),
+                                   rng.integers(0, 5, size=b),
+                                   np.arange(next_id, next_id + b))
+            next_id += b
+            return batch
+
+        def resident_scores():
+            scores = sum_similarity(buf.unit_token_sums(), p_agg, tokens)
+            np.testing.assert_array_equal(
+                buf.unit_token_sums(), l2_normalize(buf.embeddings()).sum(axis=1))
+            np.testing.assert_array_equal(scores, batch_similarity(buf.embeddings(), p_agg))
+            return scores
+
+        # two fills, a straddling fill plus exchange (9 offered with 5 slots
+        # free), then full offers, each scored through the cache
+        for b in (6, 5, 9, 12, 12, 7):
+            batch = offer(b)
+            s_buf = resident_scores() if len(buf) else np.zeros(0)
+            update_buffer(buf, batch, batch_similarity(batch.embeddings, p_agg), s_buf, rng)
+            resident_scores()
+        # reservoir overwrites, two without a read in between
+        before = buf.sample_ids.copy()
+        reservoir_update(buf, offer(10), rng)
+        reservoir_update(buf, offer(10), rng)
+        assert not np.array_equal(buf.sample_ids, before)
+        resident_scores()
+        reservoir_update(buf, offer(3), rng)
+        resident_scores()
+        assert buf.unit_token_sums().shape == (capacity, dim)
+
+    def test_unscored_policies_never_compute_sums(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(buffer_module, "unit_token_sums",
+                            lambda emd: calls.append(len(emd)))
+        rng = substream(3, "cache-unscored")
+        for update in (lambda buf, items: reservoir_update(buf, items, rng),
+                       keep_first_update):
+            buf = RehearsalBuffer(4)
+            for ids in (range(3), range(3, 9), range(9, 15)):
+                update(buf, make_items(ids, tokens=2))
+        assert calls == []
 
 
 class TestUpdateBuffer:

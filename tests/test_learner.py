@@ -261,6 +261,31 @@ class TestForwardLoss:
                 it.iternext()
 
 
+class TestLossGradientsGolden:
+    """SHA-256 digests of ``loss_gradients`` outputs, recorded while it
+    still scored the batch through ``batch_similarity`` and normalized the
+    embeddings a second time for the similarity Jacobian."""
+
+    # (seed, b, tokens, dim, n_classes): loss, digests of the three gradients
+    CASES = {
+        (41, 6, 2, 4, 3): (1.0992776699563442,
+                           ("7c09f00594c26a1b", "5f28d286006b64df", "56b7e4b8419c1cdc")),
+        (42, 16, 4, 8, 5): (1.609174294327562,
+                            ("605c98ef75087f5c", "1c617d4884efbbcd", "74ce66d8aa48c9ac")),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(CASES), ids=str)
+    def test_outputs_match_recorded_digests(self, shape):
+        seed, b, tokens, dim, n_classes = shape
+        model = PrototypeModel.init_random(
+            n_classes=n_classes, dim=dim, pool_count=2, pool_length=2,
+            num_experts=2, rng=substream(seed, "model"), learning_rate=0.1,
+        )
+        batch = random_batch(seed, b=b, tokens=tokens, dim=dim, n_classes=n_classes)
+        loss, *grads = loss_gradients(model, batch)
+        assert (loss, tuple(_digest(g) for g in grads)) == self.CASES[shape]
+
+
 class TestTrainStep:
     def test_zero_learning_rate_freezes_params(self):
         model = small_model(lr=0.0)
