@@ -110,6 +110,15 @@ def gelu_grad(x):
     return out if out.ndim else float(out)
 
 
+def gelu_with_grad(x):
+    """``(gelu(x), gelu_grad(x))`` of an array from one evaluation of Phi;
+    the same bits as the two calls."""
+    x = np.asarray(x, dtype=np.float64)
+    cdf = ndtr(x)
+    phi = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    return x * cdf, cdf + x * phi
+
+
 def top_k(v, k):
     """Top-k values of ``v`` in descending order with their indices.
 

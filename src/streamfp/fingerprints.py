@@ -2,8 +2,10 @@
 
 The attunement block refines each fingerprint token through a learnable
 gate over a small bank of frozen MLPs (a key/value linear pair with an
-exact-GELU nonlinearity in between). Only the fingerprints and the gate
-weights receive gradients; the MLP bank is frozen at construction.
+exact-GELU nonlinearity in between) and returns the refined tokens summed
+over the fingerprint length, the only form of them the engine reads. Only
+the fingerprints and the gate weights receive gradients; the MLP bank is
+frozen at construction.
 """
 
 import struct
@@ -12,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_math import gelu, gelu_grad
+from .core_math import gelu, gelu_with_grad
 
 WEIGHTS_MAGIC = b"SFPW"
 WEIGHTS_VERSION = 1
@@ -84,6 +86,8 @@ class AttunementParams:
             raise ValueError(f"gate must have shape ({d}, {r}), got {self.gate.shape}")
         if not np.all(np.isfinite(self.gate)):
             raise ValueError("gate weights contain non-finite entries")
+        if not (np.all(np.isfinite(self.keys)) and np.all(np.isfinite(self.values))):
+            raise ValueError("frozen MLP weights contain non-finite entries")
         # frozen: any in-place write on the MLP bank raises
         self.keys.setflags(write=False)
         self.values.setflags(write=False)
@@ -129,8 +133,8 @@ def save_mlp_weights(path, keys, values):
 def load_mlp_weights(path):
     """Read a frozen MLP bank written by :func:`save_mlp_weights`.
 
-    A short, overlong or otherwise corrupt file raises ``ValueError``
-    naming the file.
+    A short, overlong or otherwise corrupt file, non-finite weights
+    included, raises ``ValueError`` naming the file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -149,6 +153,8 @@ def load_mlp_weights(path):
             f"expected {expected} for R={r}, D={d}"
         )
     mats = np.frombuffer(data, dtype="<f4", offset=16).reshape(r, 2, d, d)
+    if not np.all(np.isfinite(mats)):
+        raise ValueError(f"weights file {path} holds non-finite weights")
     return mats[:, 0].astype(np.float64), mats[:, 1].astype(np.float64)
 
 
@@ -193,47 +199,55 @@ class AttuneCache(NamedTuple):
 
     mix: np.ndarray  # (N, r_select) gate mixing weights
     idx: np.ndarray  # (N, r_select) selected expert indices
-    expert_out: np.ndarray  # (R, N, L_p, D) expert outputs
-    pre_act: np.ndarray  # (R, N, L_p, D) pre-GELU activations
+    expert_sums: np.ndarray  # (R, N, D) expert outputs summed over L_p
+    gelu_slope: np.ndarray  # (R, N, L_p, D) GELU derivative at the pre-activations
 
 
-def _expert_outputs(pool, params, keep_pre_act):
-    """Per-expert tokenwise MLP outputs, shape (R, N, L_p, D), and the
-    pre-GELU activations of the same shape if ``keep_pre_act``, else None."""
-    shape = (params.num_experts,) + pool.weights.shape
-    outs = np.empty(shape)
-    pre = np.empty(shape) if keep_pre_act else None
+def _expert_sums(pool, params, keep_slope):
+    """Per-expert MLP outputs summed over the fingerprint length, shape
+    (R, N, D), and the GELU derivative at the pre-activations, shape
+    (R, N, L_p, D), if ``keep_slope``, else None.
+
+    The value matrix is linear, so it maps the token sum of the activations:
+    per expert one (N*L_p, D) x (D, D) GEMM for the keys and one (N, D)
+    x (D, D) GEMM for the values.
+    """
+    n, _, d = pool.weights.shape
+    sums = np.empty((params.num_experts, n, d))
+    slope = np.empty((params.num_experts,) + pool.weights.shape) if keep_slope else None
     for r in range(params.num_experts):
         h = _token_matmul(pool.weights, params.keys[r].T)
-        outs[r] = _token_matmul(gelu(h), params.values[r].T)
-        if keep_pre_act:
-            pre[r] = h
-    return outs, pre
+        if keep_slope:
+            act, slope[r] = gelu_with_grad(h)
+        else:
+            act = gelu(h)
+        sums[r] = act.sum(axis=1) @ params.values[r].T
+    return sums, slope
 
 
 def attune(pool, params, r_select=None, *, with_cache=False):
-    """Refine fingerprints through the gated frozen-MLP bank.
+    """Attuned fingerprints summed over their length, shape (N, D).
 
     Each token of fingerprint n becomes the gate-weighted convex
-    combination of its selected experts' outputs; the output shape equals
-    the input shape (N, L_p, D).
+    combination of its selected experts' outputs; the result is the sum of
+    the L_p attuned tokens, the only form of them the engine reads.
 
     With ``with_cache`` the result is ``(out, cache)``: an
-    :class:`AttuneCache` holding the gate decision, the expert outputs and
-    the pre-GELU activations, for :func:`attune_backward` to reuse instead
-    of repeating the forward. It stays valid only while ``pool``,
-    ``params`` and ``r_select`` are unchanged.
+    :class:`AttuneCache` holding the gate decision, the expert sums and the
+    GELU derivative at the pre-activations, for :func:`attune_backward` to
+    reuse instead of repeating the forward. It stays valid only while
+    ``pool``, ``params`` and ``r_select`` are unchanged.
     """
     if pool.dim != params.dim:
         raise ValueError(f"pool dim {pool.dim} does not match MLP dim {params.dim}")
     mix, idx = gate_forward(pool, params, r_select)
-    expert_out, pre_act = _expert_outputs(pool, params, keep_pre_act=with_cache)
-    out = np.zeros_like(pool.weights)
+    sums, slope = _expert_sums(pool, params, keep_slope=with_cache)
+    out = np.zeros((pool.count, pool.dim))
     rows = np.arange(pool.count)
     for j in range(mix.shape[1]):
-        out += mix[:, j, None, None] * expert_out[idx[:, j], rows]
+        out += mix[:, j, None] * sums[idx[:, j], rows]
     if with_cache:
-        return out, AttuneCache(mix, idx, expert_out, pre_act)
+        return out, AttuneCache(mix, idx, sums, slope)
     return out
 
 
@@ -246,33 +260,35 @@ def attune_backward(pool, params, upstream, r_select=None, cache=None):
     gradients are not produced.
 
     Args:
-        upstream: dLoss/dOutput, shape (N, L_p, D).
+        upstream: dLoss/dOutput, shape (N, D): the gradient with respect to
+            the attuned fingerprints summed over their length.
         cache: the :class:`AttuneCache` from ``attune(pool, params,
             r_select, with_cache=True)`` on the same, unchanged pool and
             params. The result is the same with or without it; without
-            it the gate decision and expert outputs are recomputed.
+            it the gate decision and expert sums are recomputed.
 
     Returns:
         (grad_pool, grad_gate) with shapes (N, L_p, D) and (D, R).
     """
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != pool.weights.shape:
+    if upstream.shape != (pool.count, pool.dim):
         raise ValueError(
-            f"upstream shape {upstream.shape} does not match pool {pool.weights.shape}"
+            f"upstream shape {upstream.shape} does not match the summed "
+            f"fingerprints {(pool.count, pool.dim)}"
         )
     if cache is None:
         mix, idx = gate_forward(pool, params, r_select)
-        expert_out, pre_act = _expert_outputs(pool, params, keep_pre_act=True)
+        sums, slope = _expert_sums(pool, params, keep_slope=True)
     else:
-        mix, idx, expert_out, pre_act = cache
+        mix, idx, sums, slope = cache
     n, r_sel = mix.shape
     rows = np.arange(n)
     lp = pool.length
 
-    # gate path: dL/dmix[n, j] = <upstream[n], expert_out[idx[n, j], n]>
+    # gate path: dL/dmix[n, j] = <upstream[n], sums[idx[n, j], n]>
     dmix = np.empty((n, r_sel), dtype=np.float64)
     for j in range(r_sel):
-        dmix[:, j] = np.einsum("nld,nld->n", upstream, expert_out[idx[:, j], rows])
+        dmix[:, j] = np.einsum("nd,nd->n", upstream, sums[idx[:, j], rows])
     # softmax Jacobian per row
     dvals = mix * (dmix - np.sum(mix * dmix, axis=1, keepdims=True))
     dscores = np.zeros((n, params.num_experts), dtype=np.float64)
@@ -289,7 +305,8 @@ def attune_backward(pool, params, upstream, r_select=None, cache=None):
             coef += np.where(idx[:, j] == r, mix[:, j], 0.0)
         if not np.any(coef):
             continue
-        d_act = _token_matmul(upstream, params.values[r])  # dL/d gelu(h)
-        d_pre = d_act * gelu_grad(pre_act[r])
+        # dL/d gelu(h) is the same for every token of a fingerprint
+        d_act = upstream @ params.values[r]  # (N, D)
+        d_pre = d_act[:, None, :] * slope[r]
         grad_pool += coef[:, None, None] * _token_matmul(d_pre, params.keys[r])
     return grad_pool, grad_gate

@@ -177,7 +177,8 @@ def write_embedding_file(path, embeddings, labels):
 
 def read_embedding_file(path):
     """Read a file written by :func:`write_embedding_file`; a short,
-    overlong or otherwise corrupt file raises ``ValueError`` naming it."""
+    overlong or otherwise corrupt file, non-finite embeddings included,
+    raises ``ValueError`` naming it."""
     with open(path, "rb") as fh:
         if fh.read(4) != EMBED_MAGIC:
             raise ValueError(f"bad magic in embedding file {path}")
@@ -197,6 +198,8 @@ def read_embedding_file(path):
             )
         payload = fh.read()
     emb = np.frombuffer(payload, dtype="<f4", count=n * tokens * dim)
+    if not np.all(np.isfinite(emb)):
+        raise ValueError(f"embedding file {path} holds non-finite embeddings")
     labels = np.frombuffer(payload, dtype="<u4", offset=emb_bytes)
     return emb.reshape(n, tokens, dim).astype(np.float64), labels.astype(np.int64)
 
@@ -235,7 +238,8 @@ class PrototypeModel:
             raise ValueError("need at least one gradient step")
 
     def attuned_pool(self):
-        """The attuned fingerprints, ``attune(pool, attn, r_select)``."""
+        """The attuned fingerprints summed over their length, shape (N, D):
+        ``attune(pool, attn, r_select)``."""
         return attune(self.pool, self.attn, self.r_select)
 
     def trainable_copy(self):
@@ -268,20 +272,19 @@ def _cross_entropy(logits, labels):
     return float(nll.mean())
 
 
-def forward_loss(model, batch, p_att=None):
+def forward_loss(model, batch, p_agg=None):
     """Cross-entropy loss of the prototype classifier on a batch.
 
     Per-sample feature = token-mean embedding scaled by (1 + S), where S
     is the mean cosine similarity to the attuned fingerprints; this is
     the differentiable coupling that lets the fingerprints and gate train.
-    ``p_att`` is ``model.attuned_pool()``, computed here when not given.
+    ``p_agg`` is ``model.attuned_pool()``, computed here when not given.
     """
     labels = np.asarray(batch.labels, dtype=np.int64)
     if np.any(labels < 0) or np.any(labels >= model.prototypes.shape[0]):
         raise ValueError("label out of range for the prototype set")
-    if p_att is None:
-        p_att = model.attuned_pool()
-    p_agg = p_att.sum(axis=1)
+    if p_agg is None:
+        p_agg = model.attuned_pool()
     s = batch_similarity(batch.embeddings, p_agg)
     pooled = batch.embeddings.mean(axis=1)
     feat = pooled * (1.0 + s)[:, None]
@@ -294,8 +297,7 @@ def loss_gradients(model, batch):
     labels = np.asarray(batch.labels, dtype=np.int64)
     emb = batch.embeddings
     bsz, tokens, _ = emb.shape
-    p_att, cache = attune(model.pool, model.attn, model.r_select, with_cache=True)
-    p_agg = p_att.sum(axis=1)
+    p_agg, cache = attune(model.pool, model.attn, model.r_select, with_cache=True)
     e_sum = unit_token_sums(emb)  # (b, D)
     s = sum_similarity(e_sum, p_agg, tokens)
     pooled = emb.mean(axis=1)
@@ -324,9 +326,8 @@ def loss_gradients(model, batch):
     d_p_agg = q[None, :] / scale[:, None] - p_agg * (
         pv / (np.maximum(norms, NORM_EPS) * scale * scale)
     )[:, None]
-    d_p_att = np.repeat(d_p_agg[:, None, :], p_att.shape[1], axis=1)
     grad_pool, grad_gate = attune_backward(
-        model.pool, model.attn, d_p_att, model.r_select, cache=cache
+        model.pool, model.attn, d_p_agg, model.r_select, cache=cache
     )
     loss = _cross_entropy(logits, labels)
     return loss, grad_proto, grad_pool, grad_gate
@@ -350,15 +351,15 @@ def train_step(model, batch, steps=None):
     return model, last_loss
 
 
-def evaluate(model, batch, p_att=None):
+def evaluate(model, batch, p_agg=None):
     """Argmax-logit accuracy of the model on an evaluation batch.
 
-    Pass ``p_att = model.attuned_pool()`` to share one attunement across
+    Pass ``p_agg = model.attuned_pool()`` to share one attunement across
     several evaluation batches of the same model state.
     """
     if len(batch) == 0:
         raise ValueError("empty evaluation set")
-    _, logits = forward_loss(model, batch, p_att)
+    _, logits = forward_loss(model, batch, p_agg)
     pred = logits.argmax(axis=1)
     return float(np.mean(pred == batch.labels))
 

@@ -513,12 +513,9 @@ def run_experiment(config):
             run_batch(model, buffer, batch, timings, run_sigma)
             selected_samples += len(batch)
         te = time.perf_counter()
-        # one attunement serves every eval set of this checkpoint; it is
-        # dropped before the next task's training, where it would raise the
-        # peak memory
-        p_att = model.attuned_pool()
-        acc_rows.append([evaluate(model, eval_sets[j], p_att) for j in range(task + 1)])
-        del p_att
+        # one attunement serves every eval set of this checkpoint
+        p_agg = model.attuned_pool()
+        acc_rows.append([evaluate(model, eval_sets[j], p_agg) for j in range(task + 1)])
         timings["eval"] += time.perf_counter() - te
 
     total_runtime = time.perf_counter() - t_start

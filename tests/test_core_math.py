@@ -11,6 +11,7 @@ from streamfp.core_math import (
     batch_similarity,
     gelu,
     gelu_grad,
+    gelu_with_grad,
     l2_normalize,
     softmax,
     top_k,
@@ -199,6 +200,16 @@ class TestGelu:
         h = 1e-6
         numeric = (gelu(x + h) - gelu(x - h)) / (2 * h)
         npt.assert_allclose(gelu_grad(x), numeric, atol=1e-8)
+
+    def test_with_grad_is_bit_equal_to_gelu_and_gelu_grad(self):
+        edges = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, 40.0, -40.0, 41.5])
+        x = np.concatenate([edges, np.linspace(-40, 40, 4001),
+                            np.random.default_rng(0).standard_normal(1001)])
+        x = x.reshape(2, -1, 5)  # any shape, as attunement passes (N, L_p, D)
+        value, grad = gelu_with_grad(x)
+        assert value.shape == grad.shape == x.shape
+        assert value.tobytes() == gelu(x).tobytes()
+        assert grad.tobytes() == gelu_grad(x).tobytes()
 
 
 class TestTopK:

@@ -23,6 +23,7 @@ from streamfp.learner import (
     write_embedding_file,
 )
 from streamfp.seeding import substream
+from test_fingerprints import reference_attune, reference_attune_backward
 
 
 def small_model(seed=1, n_classes=3, dim=4, lr=0.1):
@@ -207,6 +208,15 @@ class TestEmbeddingFile:
             with pytest.raises(ValueError, match="cut.sfpe"):
                 read_embedding_file(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_names_the_file(self, tmp_path, bad):
+        emb = substream(14, "file").standard_normal((4, 2, 3))
+        emb[2, 1, 0] = bad
+        path = tmp_path / "bad.sfpe"
+        write_embedding_file(path, emb, np.arange(4))
+        with pytest.raises(ValueError, match="bad.sfpe"):
+            read_embedding_file(path)
+
 
 class TestForwardLoss:
     def test_uniform_logits_loss(self):
@@ -261,29 +271,63 @@ class TestForwardLoss:
                 it.iternext()
 
 
+def token_reference_attune(pool, params, r_select=None, *, with_cache=False):
+    """attune through the per-token reference: attune each token, then sum."""
+    out = reference_attune(pool, params, r_select).sum(axis=1)
+    return (out, None) if with_cache else out
+
+
+def token_reference_attune_backward(pool, params, upstream, r_select=None, cache=None):
+    """attune_backward through the per-token reference, the (N, D) upstream
+    reaching every token of a fingerprint alike."""
+    tokens_upstream = np.repeat(upstream[:, None, :], pool.length, axis=1)
+    return reference_attune_backward(pool, params, tokens_upstream, r_select)
+
+
 class TestLossGradientsGolden:
-    """SHA-256 digests of ``loss_gradients`` outputs, recorded while it
-    still scored the batch through ``batch_similarity`` and normalized the
-    embeddings a second time for the similarity Jacobian."""
+    """SHA-256 digests of ``loss_gradients`` outputs. The losses were
+    recorded while ``loss_gradients`` still scored the batch through
+    ``batch_similarity``; the gradient digests since attunement sums the
+    tokens before the value matrices, which moved their last bits."""
 
     # (seed, b, tokens, dim, n_classes): loss, digests of the three gradients
     CASES = {
         (41, 6, 2, 4, 3): (1.0992776699563442,
-                           ("7c09f00594c26a1b", "5f28d286006b64df", "56b7e4b8419c1cdc")),
+                           ("12b18ce6e9da79c7", "3ded4f7b48a16b74", "79e432e36b5ae7e0")),
         (42, 16, 4, 8, 5): (1.609174294327562,
-                            ("605c98ef75087f5c", "1c617d4884efbbcd", "74ce66d8aa48c9ac")),
+                            ("f212eb8009fd2d55", "defd61968becb88e", "9bee42fbca2c6e2c")),
     }
+    # (seed, b, tokens, dim, n_classes, pool_count, pool_length, experts)
+    ORACLE_CASES = [shape + (2, 2, 2) for shape in sorted(CASES)] + [
+        (43, 64, 4, 768, 10, 100, 4, 3),  # the paper shape
+    ]
+    # the per-token attunement rounds differently in the last bits
+    ORACLE_RTOL = 1e-12
+
+    @staticmethod
+    def case(seed, b, tokens, dim, n_classes, pool_count=2, pool_length=2, experts=2):
+        model = PrototypeModel.init_random(
+            n_classes=n_classes, dim=dim, pool_count=pool_count, pool_length=pool_length,
+            num_experts=experts, rng=substream(seed, "model"), learning_rate=0.1,
+        )
+        return model, random_batch(seed, b=b, tokens=tokens, dim=dim, n_classes=n_classes)
 
     @pytest.mark.parametrize("shape", sorted(CASES), ids=str)
     def test_outputs_match_recorded_digests(self, shape):
-        seed, b, tokens, dim, n_classes = shape
-        model = PrototypeModel.init_random(
-            n_classes=n_classes, dim=dim, pool_count=2, pool_length=2,
-            num_experts=2, rng=substream(seed, "model"), learning_rate=0.1,
-        )
-        batch = random_batch(seed, b=b, tokens=tokens, dim=dim, n_classes=n_classes)
-        loss, *grads = loss_gradients(model, batch)
+        loss, *grads = loss_gradients(*self.case(*shape))
         assert (loss, tuple(_digest(g) for g in grads)) == self.CASES[shape]
+
+    @pytest.mark.parametrize("shape", ORACLE_CASES, ids=str)
+    def test_matches_per_token_reference_attunement(self, shape, monkeypatch):
+        model, batch = self.case(*shape)
+        loss, *grads = loss_gradients(model, batch)
+        monkeypatch.setattr(learner, "attune", token_reference_attune)
+        monkeypatch.setattr(learner, "attune_backward", token_reference_attune_backward)
+        ref_loss, *ref_grads = loss_gradients(model, batch)
+        assert loss == pytest.approx(ref_loss, rel=self.ORACLE_RTOL, abs=0)
+        for g, g_ref in zip(grads, ref_grads):
+            npt.assert_allclose(g, g_ref, rtol=self.ORACLE_RTOL,
+                                atol=self.ORACLE_RTOL * np.abs(g_ref).max())
 
 
 class TestTrainStep:
