@@ -38,7 +38,6 @@ from .buffer import (
 )
 from .learner import (
     EmbeddingBatch,
-    FileEmbedder,
     PrototypeModel,
     SyntheticEmbedder,
     average_accuracy,

@@ -8,16 +8,12 @@ the fingerprints and the gate weights receive gradients; the MLP bank is
 frozen at construction.
 """
 
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .core_math import gelu, gelu_with_grad
-
-WEIGHTS_MAGIC = b"SFPW"
-WEIGHTS_VERSION = 1
 
 
 @dataclass
@@ -102,60 +98,12 @@ class AttunementParams:
 
     @classmethod
     def init_random(cls, dim, num_experts, rng, gate_scale=0.02):
-        """Random orthogonal frozen MLPs and a small random gate.
-
-        Orthogonal init preserves signal scale; a weights file can be
-        loaded instead when pretrained matrices are available.
-        """
+        """Random orthogonal frozen MLPs (orthogonal init preserves signal
+        scale) and a small random gate."""
         keys = np.stack([_random_orthogonal(dim, rng) for _ in range(num_experts)])
         values = np.stack([_random_orthogonal(dim, rng) for _ in range(num_experts)])
         gate = gate_scale * rng.standard_normal((dim, num_experts))
         return cls(gate, keys, values)
-
-
-def save_mlp_weights(path, keys, values):
-    """Write the frozen MLP bank in the binary weights format.
-
-    Layout (little-endian): magic "SFPW", u32 version=1, u32 R, u32 D,
-    then R pairs of D x D row-major f32 matrices (K then V).
-    """
-    keys = np.asarray(keys)
-    values = np.asarray(values)
-    r, d, _ = keys.shape
-    with open(path, "wb") as fh:
-        fh.write(WEIGHTS_MAGIC)
-        fh.write(struct.pack("<III", WEIGHTS_VERSION, r, d))
-        for i in range(r):
-            fh.write(keys[i].astype("<f4").tobytes())
-            fh.write(values[i].astype("<f4").tobytes())
-
-
-def load_mlp_weights(path):
-    """Read a frozen MLP bank written by :func:`save_mlp_weights`.
-
-    A short, overlong or otherwise corrupt file, non-finite weights
-    included, raises ``ValueError`` naming the file.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    magic, header = data[:4], data[4:16]
-    if magic != WEIGHTS_MAGIC:
-        raise ValueError(f"bad magic {magic!r} in weights file {path}")
-    if len(header) != 12:
-        raise ValueError(f"weights file {path} is truncated inside its header")
-    version, r, d = struct.unpack("<III", header)
-    if version != WEIGHTS_VERSION:
-        raise ValueError(f"unsupported weights version {version} in weights file {path}")
-    payload, expected = len(data) - 16, 2 * r * 4 * d * d
-    if payload != expected:
-        raise ValueError(
-            f"weights file {path} has {payload} payload bytes, "
-            f"expected {expected} for R={r}, D={d}"
-        )
-    mats = np.frombuffer(data, dtype="<f4", offset=16).reshape(r, 2, d, d)
-    if not np.all(np.isfinite(mats)):
-        raise ValueError(f"weights file {path} holds non-finite weights")
-    return mats[:, 0].astype(np.float64), mats[:, 1].astype(np.float64)
 
 
 def aggregate(pool):
@@ -163,26 +111,23 @@ def aggregate(pool):
     return pool.weights.sum(axis=1)
 
 
-def gate_forward(pool, params, r_select=None):
+def gate_forward(pool, params):
     """Gate decision per fingerprint: mixing weights and expert indices.
 
     The gate input is the mean over the length dimension of each
-    fingerprint, projected through the gate matrix; the top ``r_select``
-    scores (ties to the lower expert index) are kept and softmaxed into
-    mixing weights.
+    fingerprint, projected through the gate matrix; all R scores, in
+    descending order (ties to the lower expert index), are softmaxed into
+    mixing weights. The order fixes the summation order of the softmax and
+    of the mixing in :func:`attune`.
 
     Returns:
-        (W, I): both (N, r_select); rows of W sum to 1.
+        (W, I): both (N, R); I[n] lists the experts in score order and
+        W[n] their weights, which sum to 1.
     """
-    r_total = params.num_experts
-    if r_select is None:
-        r_select = r_total
-    if not 1 <= r_select <= r_total:
-        raise ValueError(f"r_select={r_select} out of range [1, {r_total}]")
     pooled = pool.weights.mean(axis=1)  # (N, D)
     scores = pooled @ params.gate  # (N, R)
     # row-wise core_math.top_k and softmax, with the same arithmetic
-    idx = np.argsort(-scores, axis=1, kind="stable")[:, :r_select]
+    idx = np.argsort(-scores, axis=1, kind="stable")
     vals = np.take_along_axis(scores, idx, axis=1)
     e = np.exp(vals - vals.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True), idx
@@ -197,8 +142,8 @@ def _token_matmul(x, w):
 class AttuneCache(NamedTuple):
     """What :func:`attune_backward` reuses from the forward pass."""
 
-    mix: np.ndarray  # (N, r_select) gate mixing weights
-    idx: np.ndarray  # (N, r_select) selected expert indices
+    mix: np.ndarray  # (N, R) gate mixing weights
+    idx: np.ndarray  # (N, R) expert indices in score order
     expert_sums: np.ndarray  # (R, N, D) expert outputs summed over L_p
     gelu_slope: np.ndarray  # (R, N, L_p, D) GELU derivative at the pre-activations
 
@@ -225,22 +170,22 @@ def _expert_sums(pool, params, keep_slope):
     return sums, slope
 
 
-def attune(pool, params, r_select=None, *, with_cache=False):
+def attune(pool, params, *, with_cache=False):
     """Attuned fingerprints summed over their length, shape (N, D).
 
     Each token of fingerprint n becomes the gate-weighted convex
-    combination of its selected experts' outputs; the result is the sum of
+    combination of all R experts' outputs; the result is the sum of
     the L_p attuned tokens, the only form of them the engine reads.
 
     With ``with_cache`` the result is ``(out, cache)``: an
     :class:`AttuneCache` holding the gate decision, the expert sums and the
     GELU derivative at the pre-activations, for :func:`attune_backward` to
     reuse instead of repeating the forward. It stays valid only while
-    ``pool``, ``params`` and ``r_select`` are unchanged.
+    ``pool`` and ``params`` are unchanged.
     """
     if pool.dim != params.dim:
         raise ValueError(f"pool dim {pool.dim} does not match MLP dim {params.dim}")
-    mix, idx = gate_forward(pool, params, r_select)
+    mix, idx = gate_forward(pool, params)
     sums, slope = _expert_sums(pool, params, keep_slope=with_cache)
     out = np.zeros((pool.count, pool.dim))
     rows = np.arange(pool.count)
@@ -251,21 +196,20 @@ def attune(pool, params, r_select=None, *, with_cache=False):
     return out
 
 
-def attune_backward(pool, params, upstream, r_select=None, cache=None):
+def attune_backward(pool, params, upstream, cache=None):
     """Analytic gradients of a scalar loss through :func:`attune`.
 
-    The top-k index selection is treated as constant (straight-through):
-    gradient flows through the softmax over the selected gate scores and
-    through the expert MLPs, never through the index choice. Frozen MLP
-    gradients are not produced.
+    Gradient flows through the softmax over the gate scores and through
+    the expert MLPs; the score order is piecewise constant and passes none.
+    Frozen MLP gradients are not produced.
 
     Args:
         upstream: dLoss/dOutput, shape (N, D): the gradient with respect to
             the attuned fingerprints summed over their length.
         cache: the :class:`AttuneCache` from ``attune(pool, params,
-            r_select, with_cache=True)`` on the same, unchanged pool and
-            params. The result is the same with or without it; without
-            it the gate decision and expert sums are recomputed.
+            with_cache=True)`` on the same, unchanged pool and params.
+            The result is the same with or without it; without it the
+            gate decision and expert sums are recomputed.
 
     Returns:
         (grad_pool, grad_gate) with shapes (N, L_p, D) and (D, R).
@@ -277,32 +221,32 @@ def attune_backward(pool, params, upstream, r_select=None, cache=None):
             f"fingerprints {(pool.count, pool.dim)}"
         )
     if cache is None:
-        mix, idx = gate_forward(pool, params, r_select)
+        mix, idx = gate_forward(pool, params)
         sums, slope = _expert_sums(pool, params, keep_slope=True)
     else:
         mix, idx, sums, slope = cache
-    n, r_sel = mix.shape
+    n, n_experts = mix.shape
     rows = np.arange(n)
     lp = pool.length
 
     # gate path: dL/dmix[n, j] = <upstream[n], sums[idx[n, j], n]>
-    dmix = np.empty((n, r_sel), dtype=np.float64)
-    for j in range(r_sel):
+    dmix = np.empty((n, n_experts), dtype=np.float64)
+    for j in range(n_experts):
         dmix[:, j] = np.einsum("nd,nd->n", upstream, sums[idx[:, j], rows])
-    # softmax Jacobian per row
+    # softmax Jacobian per row, then back from score order to expert order
     dvals = mix * (dmix - np.sum(mix * dmix, axis=1, keepdims=True))
-    dscores = np.zeros((n, params.num_experts), dtype=np.float64)
+    dscores = np.zeros((n, n_experts), dtype=np.float64)
     np.add.at(dscores, (rows[:, None], idx), dvals)
+    mix_by_expert = np.zeros((n, n_experts), dtype=np.float64)
+    np.add.at(mix_by_expert, (rows[:, None], idx), mix)
 
     pooled = pool.weights.mean(axis=1)  # (N, D)
     grad_gate = pooled.T @ dscores  # (D, R)
     grad_pool = np.repeat((dscores @ params.gate.T)[:, None, :] / lp, lp, axis=1)
 
-    # token path: accumulate per expert over the fingerprints routed to it
-    for r in range(params.num_experts):
-        coef = np.zeros(n, dtype=np.float64)
-        for j in range(r_sel):
-            coef += np.where(idx[:, j] == r, mix[:, j], 0.0)
+    # token path: accumulate per expert, weighted by its mixing weights
+    for r in range(n_experts):
+        coef = mix_by_expert[:, r]
         if not np.any(coef):
             continue
         # dL/d gelu(h) is the same for every token of a fingerprint

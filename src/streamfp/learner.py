@@ -1,15 +1,13 @@
-"""Surrogate stream learner: embedders, prototype classifier, metrics.
+"""Surrogate stream learner: embedder, prototype classifier, metrics.
 
 The learner stands in for a frozen vision backbone. Embeddings come from
-a pluggable source (synthetic drifting Gaussian clusters, or a binary
-embedding file); the classifier is a set of learnable class prototypes
-over token-pooled features modulated by fingerprint similarity, so the
-fingerprints and gate receive real gradients through the loss.
+synthetic drifting Gaussian class clusters; the classifier is a set of
+learnable class prototypes over token-pooled features modulated by
+fingerprint similarity, so the fingerprints and gate receive real
+gradients through the loss.
 """
 
 import logging
-import os
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,9 +29,6 @@ from .fingerprints import (
 from .seeding import substream, substream_indexed
 
 logger = logging.getLogger(__name__)
-
-EMBED_MAGIC = b"SFPE"
-EMBED_VERSION = 1
 
 
 @dataclass
@@ -160,65 +155,6 @@ class SyntheticEmbedder:
         return EmbeddingBatch(emb, labels, ids)
 
 
-def write_embedding_file(path, embeddings, labels):
-    """Binary embedding dump: "SFPE", u32 version, u64 n, u32 L, u32 D,
-    then n*L*D little-endian f32 row-major, then n u32 labels."""
-    embeddings = np.asarray(embeddings)
-    labels = np.asarray(labels)
-    n, tokens, dim = embeddings.shape
-    if labels.shape != (n,):
-        raise ValueError("labels length must match the embedding count")
-    with open(path, "wb") as fh:
-        fh.write(EMBED_MAGIC)
-        fh.write(struct.pack("<IQII", EMBED_VERSION, n, tokens, dim))
-        fh.write(embeddings.astype("<f4").tobytes())
-        fh.write(labels.astype("<u4").tobytes())
-
-
-def read_embedding_file(path):
-    """Read a file written by :func:`write_embedding_file`; a short,
-    overlong or otherwise corrupt file, non-finite embeddings included,
-    raises ``ValueError`` naming it."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != EMBED_MAGIC:
-            raise ValueError(f"bad magic in embedding file {path}")
-        header = fh.read(20)
-        if len(header) != 20:
-            raise ValueError(f"embedding file {path} is truncated inside its header")
-        version, n, tokens, dim = struct.unpack("<IQII", header)
-        if version != EMBED_VERSION:
-            raise ValueError(f"unsupported embedding file version {version} in {path}")
-        emb_bytes, label_bytes = 4 * n * tokens * dim, 4 * n
-        # sized from the file, not the header, so a corrupt count allocates nothing
-        payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
-        if payload_bytes != emb_bytes + label_bytes:
-            raise ValueError(
-                f"embedding file {path} has {payload_bytes} payload bytes where "
-                f"{emb_bytes + label_bytes} were expected for n={n}, L={tokens}, D={dim}"
-            )
-        payload = fh.read()
-    emb = np.frombuffer(payload, dtype="<f4", count=n * tokens * dim)
-    if not np.all(np.isfinite(emb)):
-        raise ValueError(f"embedding file {path} holds non-finite embeddings")
-    labels = np.frombuffer(payload, dtype="<u4", offset=emb_bytes)
-    return emb.reshape(n, tokens, dim).astype(np.float64), labels.astype(np.int64)
-
-
-class FileEmbedder:
-    """Embeddings replayed from a binary embedding file."""
-
-    def __init__(self, path):
-        self.embeddings, self.labels = read_embedding_file(path)
-        self.dim = self.embeddings.shape[2]
-        self.tokens = self.embeddings.shape[1]
-
-    def embed(self, task, sample_indices):
-        idx = np.asarray(sample_indices, dtype=np.int64)
-        if np.any(idx < 0) or np.any(idx >= self.embeddings.shape[0]):
-            raise ValueError("sample index out of range for embedding file")
-        return EmbeddingBatch(self.embeddings[idx], self.labels[idx], idx.copy())
-
-
 @dataclass
 class PrototypeModel:
     """Class prototypes + fingerprints + attunement, trained jointly."""
@@ -228,7 +164,6 @@ class PrototypeModel:
     attn: AttunementParams
     learning_rate: float = 0.001
     grad_steps: int = 1
-    r_select: int | None = None
 
     def __post_init__(self):
         self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
@@ -239,8 +174,8 @@ class PrototypeModel:
 
     def attuned_pool(self):
         """The attuned fingerprints summed over their length, shape (N, D):
-        ``attune(pool, attn, r_select)``."""
-        return attune(self.pool, self.attn, self.r_select)
+        ``attune(pool, attn)``."""
+        return attune(self.pool, self.attn)
 
     def trainable_copy(self):
         """A model that trains apart from this one: its own copies of the
@@ -272,6 +207,15 @@ def _cross_entropy(logits, labels):
     return float(nll.mean())
 
 
+def _checked_labels(model, batch):
+    """The batch labels as int64; any outside the prototype set raises
+    ``ValueError`` (a -1 would otherwise index the last class)."""
+    labels = np.asarray(batch.labels, dtype=np.int64)
+    if np.any(labels < 0) or np.any(labels >= model.prototypes.shape[0]):
+        raise ValueError("label out of range for the prototype set")
+    return labels
+
+
 def forward_loss(model, batch, p_agg=None):
     """Cross-entropy loss of the prototype classifier on a batch.
 
@@ -280,9 +224,7 @@ def forward_loss(model, batch, p_agg=None):
     the differentiable coupling that lets the fingerprints and gate train.
     ``p_agg`` is ``model.attuned_pool()``, computed here when not given.
     """
-    labels = np.asarray(batch.labels, dtype=np.int64)
-    if np.any(labels < 0) or np.any(labels >= model.prototypes.shape[0]):
-        raise ValueError("label out of range for the prototype set")
+    labels = _checked_labels(model, batch)
     if p_agg is None:
         p_agg = model.attuned_pool()
     s = batch_similarity(batch.embeddings, p_agg)
@@ -294,10 +236,10 @@ def forward_loss(model, batch, p_agg=None):
 
 def loss_gradients(model, batch):
     """Analytic gradients of forward_loss w.r.t. prototypes, pool, gate."""
-    labels = np.asarray(batch.labels, dtype=np.int64)
+    labels = _checked_labels(model, batch)
     emb = batch.embeddings
     bsz, tokens, _ = emb.shape
-    p_agg, cache = attune(model.pool, model.attn, model.r_select, with_cache=True)
+    p_agg, cache = attune(model.pool, model.attn, with_cache=True)
     e_sum = unit_token_sums(emb)  # (b, D)
     s = sum_similarity(e_sum, p_agg, tokens)
     pooled = emb.mean(axis=1)
@@ -326,9 +268,7 @@ def loss_gradients(model, batch):
     d_p_agg = q[None, :] / scale[:, None] - p_agg * (
         pv / (np.maximum(norms, NORM_EPS) * scale * scale)
     )[:, None]
-    grad_pool, grad_gate = attune_backward(
-        model.pool, model.attn, d_p_agg, model.r_select, cache=cache
-    )
+    grad_pool, grad_gate = attune_backward(model.pool, model.attn, d_p_agg, cache=cache)
     loss = _cross_entropy(logits, labels)
     return loss, grad_proto, grad_pool, grad_gate
 

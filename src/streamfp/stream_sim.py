@@ -288,7 +288,9 @@ def kcenter_coreset(emd, sigma):
     """Greedy farthest-point k-center selection on mean-pooled embeddings.
 
     The first center is the point farthest from the centroid (ties to the
-    lower index), which makes the selection deterministic.
+    lower index), which makes the selection deterministic. A selected
+    point is never picked again, so a batch with fewer distinct points
+    than ``c`` still yields ``c`` distinct indices.
     """
     if not 0 < sigma <= 1:
         raise ValueError("sigma must be in (0, 1]")
@@ -302,10 +304,12 @@ def kcenter_coreset(emd, sigma):
     first = int(np.argmax(d0))
     selected = [first]
     min_dist = np.linalg.norm(pooled - pooled[first], axis=1)
+    min_dist[first] = -np.inf
     while len(selected) < c:
         nxt = int(np.argmax(min_dist))
         selected.append(nxt)
         min_dist = np.minimum(min_dist, np.linalg.norm(pooled - pooled[nxt], axis=1))
+        min_dist[nxt] = -np.inf
     return np.array(sorted(selected))
 
 

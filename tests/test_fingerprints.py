@@ -13,8 +13,6 @@ from streamfp.fingerprints import (
     attune,
     attune_backward,
     gate_forward,
-    load_mlp_weights,
-    save_mlp_weights,
 )
 from streamfp.seeding import substream
 
@@ -22,13 +20,13 @@ from streamfp.seeding import substream
 # references after them; the two agree to this fraction of the largest entry
 SUM_RTOL = 1e-13
 
-# (N, L_p, D, R, r_select): the default StreamConfig and the smaller test
-# configs, the replay and paper benchmark shapes, and r_select < R
+# (N, L_p, D, R): the default StreamConfig and the smaller test configs,
+# five experts, and the replay and paper benchmark shapes
 PINNED_SHAPES = [
-    (8, 2, 16, 3, None),
-    (5, 4, 6, 5, 2),
-    (8, 2, 64, 3, None),
-    (100, 4, 768, 3, None),
+    (8, 2, 16, 3),
+    (5, 4, 6, 5),
+    (8, 2, 64, 3),
+    (100, 4, 768, 3),
 ]
 
 
@@ -46,14 +44,14 @@ def random_case(n, lp, d, r, seed):
     return pool, params, rng.standard_normal((n, lp, d))
 
 
-def reference_gate(pool, params, r_select):
-    """Per-row top_k and softmax of the gate scores."""
-    r_select = r_select or params.num_experts
+def reference_gate(pool, params):
+    """Per-row top_k over all R experts and softmax of the gate scores."""
+    r = params.num_experts
     scores = pool.weights.mean(axis=1) @ params.gate
-    mix = np.empty((pool.count, r_select))
-    idx = np.empty((pool.count, r_select), dtype=np.int64)
+    mix = np.empty((pool.count, r))
+    idx = np.empty((pool.count, r), dtype=np.int64)
     for i, row in enumerate(scores):
-        vals, idx[i] = top_k(row, r_select)
+        vals, idx[i] = top_k(row, r)
         mix[i] = softmax(vals)
     return mix, idx
 
@@ -63,10 +61,10 @@ def assert_close_to_largest(actual, desired, rtol=SUM_RTOL):
     npt.assert_allclose(actual, desired, rtol=0, atol=rtol * np.abs(desired).max())
 
 
-def reference_attune(pool, params, r_select=None):
+def reference_attune(pool, params):
     """attune one fingerprint at a time: one (L_p, D) x (D, D) product per
     fingerprint and expert, as NumPy runs a stacked matmul."""
-    mix, idx = reference_gate(pool, params, r_select)
+    mix, idx = reference_gate(pool, params)
     out = np.zeros_like(pool.weights)
     for n, fp in enumerate(pool.weights):
         for j, r in enumerate(idx[n]):
@@ -74,9 +72,9 @@ def reference_attune(pool, params, r_select=None):
     return out
 
 
-def reference_attune_backward(pool, params, upstream, r_select=None):
+def reference_attune_backward(pool, params, upstream):
     """attune_backward one fingerprint at a time, products as above."""
-    mix, idx = reference_gate(pool, params, r_select)
+    mix, idx = reference_gate(pool, params)
     n_fp, lp, _ = pool.weights.shape
     dscores = np.zeros((n_fp, params.num_experts))
     token_grads = []
@@ -103,13 +101,13 @@ def reference_attune_backward(pool, params, upstream, r_select=None):
     return grad_pool, grad_gate
 
 
-def sum_before_values(pool, params, r_select=None):
+def sum_before_values(pool, params):
     """attune one fingerprint at a time, summing the GELU activations over
     L_p before the value matrix. Each value matrix maps the stacked (N, D)
     sums in one product: a single row would run through BLAS's
     matrix-vector kernel, which rounds differently. Returns the output and
     the (R, N, D) expert sums."""
-    mix, idx = reference_gate(pool, params, r_select)
+    mix, idx = reference_gate(pool, params)
     sums = np.stack([
         np.stack([gelu(fp @ params.keys[r].T).sum(axis=0) for fp in pool.weights])
         @ params.values[r].T
@@ -122,11 +120,11 @@ def sum_before_values(pool, params, r_select=None):
     return out, sums
 
 
-def sum_before_values_backward(pool, params, upstream, r_select=None):
+def sum_before_values_backward(pool, params, upstream):
     """attune_backward one fingerprint at a time for an (N, D) upstream;
     the value-matrix and gate products run on stacked rows, as above."""
-    mix, idx = reference_gate(pool, params, r_select)
-    _, sums = sum_before_values(pool, params, r_select)
+    mix, idx = reference_gate(pool, params)
+    _, sums = sum_before_values(pool, params)
     d_act = np.stack([upstream @ params.values[r] for r in range(params.num_experts)])
     n_fp, lp, _ = pool.weights.shape
     dscores = np.zeros((n_fp, params.num_experts))
@@ -191,56 +189,40 @@ class TestGateForward:
         mix, _ = gate_forward(pool, identity_params(5, 3))
         npt.assert_allclose(mix, 1.0 / 3.0, atol=1e-12)
 
-    def test_single_expert_collapse(self):
-        rng = substream(3, "g")
-        pool = FingerprintPool.init_random(6, 2, 4, rng)
-        params = AttunementParams.init_random(4, 3, rng)
-        mix, idx = gate_forward(pool, params, r_select=1)
-        npt.assert_allclose(mix, 1.0, atol=1e-12)
-        pooled = pool.weights.mean(axis=1)
-        scores = pooled @ params.gate
-        npt.assert_array_equal(idx[:, 0], scores.argmax(axis=1))
-
-    def test_hand_softmax_top2(self):
+    def test_hand_softmax(self):
         # scores per fingerprint = pooled @ gate = [2, 1, 0]
         pool = FingerprintPool(np.array([[[1.0], [3.0]]]))  # pooled = [2]
         params = identity_params(1, 3, gate=np.array([[1.0, 0.5, 0.0]]))
-        mix, idx = gate_forward(pool, params, r_select=2)
-        npt.assert_array_equal(idx, [[0, 1]])
-        npt.assert_allclose(mix, [[0.7310585786300049, 0.2689414213699951]],
-                            atol=1e-10)
+        mix, idx = gate_forward(pool, params)
+        npt.assert_array_equal(idx, [[0, 1, 2]])
+        npt.assert_allclose(mix, [[0.66524096, 0.24472847, 0.09003057]], atol=1e-8)
 
     def test_rows_sum_to_one(self):
         rng = substream(4, "g")
         pool = FingerprintPool.init_random(7, 4, 6, rng)
         params = AttunementParams.init_random(6, 5, rng, gate_scale=0.5)
-        mix, _ = gate_forward(pool, params, r_select=3)
+        mix, _ = gate_forward(pool, params)
         npt.assert_allclose(mix.sum(axis=1), 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("num_experts,r_select", [(3, 3), (5, 2), (12, 1), (20, 7), (20, 20)])
-    def test_matches_per_row_reference_on_ties(self, num_experts, r_select):
+    @pytest.mark.parametrize("num_experts", [3, 20])
+    def test_matches_per_row_reference_on_ties(self, num_experts):
         # integer pools and a gate with repeated columns give many tied scores
-        rng = substream(num_experts * 100 + r_select, "tie")
+        rng = substream(num_experts * 101, "tie")
         pool = FingerprintPool(rng.integers(-2, 3, size=(40, 2, 4)).astype(float))
         gate = rng.integers(-1, 2, size=(4, num_experts)).astype(float)
         gate[:, num_experts // 2:] = gate[:, : num_experts - num_experts // 2]
         params = identity_params(4, num_experts, gate=gate)
-        mix, idx = gate_forward(pool, params, r_select)
-        ref_mix, ref_idx = reference_gate(pool, params, r_select)
+        mix, idx = gate_forward(pool, params)
+        ref_mix, ref_idx = reference_gate(pool, params)
         npt.assert_array_equal(idx, ref_idx)
         assert np.array_equal(mix, ref_mix)
 
     def test_all_tied_scores_pick_lowest_indices(self):
         pool = FingerprintPool.init_random(6, 2, 3, substream(22, "g"))
         params = identity_params(3, 20, gate=np.ones((3, 20)))
-        mix, idx = gate_forward(pool, params, r_select=7)
-        npt.assert_array_equal(idx, np.tile(np.arange(7), (6, 1)))
-        npt.assert_allclose(mix, 1.0 / 7.0, atol=1e-15)
-
-    def test_r_select_out_of_range(self):
-        pool = FingerprintPool.init_random(2, 2, 3, substream(5, "g"))
-        with pytest.raises(ValueError):
-            gate_forward(pool, identity_params(3, 2), r_select=3)
+        mix, idx = gate_forward(pool, params)
+        npt.assert_array_equal(idx, np.tile(np.arange(20), (6, 1)))
+        npt.assert_allclose(mix, 1.0 / 20.0, atol=1e-15)
 
 
 class TestAttune:
@@ -288,19 +270,19 @@ class TestAttune:
         with pytest.raises(ValueError):
             attune(pool, identity_params(4, 2))
 
-    @pytest.mark.parametrize("n,lp,d,r,r_select", PINNED_SHAPES + [(10, 4, 32, 3, None)])
-    def test_matches_summed_token_reference(self, n, lp, d, r, r_select):
+    @pytest.mark.parametrize("n,lp,d,r", PINNED_SHAPES + [(10, 4, 32, 3)])
+    def test_matches_summed_token_reference(self, n, lp, d, r):
         pool, params, _ = random_case(n, lp, d, r, seed=d)
-        expected = reference_attune(pool, params, r_select).sum(axis=1)
-        assert_close_to_largest(attune(pool, params, r_select), expected)
+        expected = reference_attune(pool, params).sum(axis=1)
+        assert_close_to_largest(attune(pool, params), expected)
 
-    @pytest.mark.parametrize("n,lp,d,r,r_select", PINNED_SHAPES)
-    def test_bit_identical_to_per_fingerprint_reference(self, n, lp, d, r, r_select):
+    @pytest.mark.parametrize("n,lp,d,r", PINNED_SHAPES)
+    def test_bit_identical_to_per_fingerprint_reference(self, n, lp, d, r):
         pool, params, _ = random_case(n, lp, d, r, seed=d)
-        out = attune(pool, params, r_select)
-        expected, sums = sum_before_values(pool, params, r_select)
+        out = attune(pool, params)
+        expected, sums = sum_before_values(pool, params)
         assert np.array_equal(out, expected)
-        cached, cache = attune(pool, params, r_select, with_cache=True)
+        cached, cache = attune(pool, params, with_cache=True)
         assert np.array_equal(cached, out)
         assert np.array_equal(cache.expert_sums, sums)
 
@@ -376,29 +358,29 @@ class TestAttuneBackward:
                 assert grad[ix] == pytest.approx(fd, abs=1e-6, rel=1e-5)
                 it.iternext()
 
-    @pytest.mark.parametrize("n,lp,d,r,r_select", PINNED_SHAPES + [(10, 4, 32, 3, None)])
-    def test_matches_summed_token_reference(self, n, lp, d, r, r_select):
+    @pytest.mark.parametrize("n,lp,d,r", PINNED_SHAPES + [(10, 4, 32, 3)])
+    def test_matches_summed_token_reference(self, n, lp, d, r):
         pool, params, upstream = random_case(n, lp, d, r, seed=d)
         # an (N, D) upstream reaches every token of a fingerprint alike
         tokens_upstream = np.repeat(upstream[:, :1], lp, axis=1)
-        expected = reference_attune_backward(pool, params, tokens_upstream, r_select)
-        grads = attune_backward(pool, params, upstream[:, 0], r_select)
+        expected = reference_attune_backward(pool, params, tokens_upstream)
+        grads = attune_backward(pool, params, upstream[:, 0])
         for g, g_ref in zip(grads, expected):
             assert_close_to_largest(g, g_ref)
 
-    @pytest.mark.parametrize("n,lp,d,r,r_select", PINNED_SHAPES)
-    def test_bit_identical_to_per_fingerprint_reference(self, n, lp, d, r, r_select):
+    @pytest.mark.parametrize("n,lp,d,r", PINNED_SHAPES)
+    def test_bit_identical_to_per_fingerprint_reference(self, n, lp, d, r):
         pool, params, upstream = random_case(n, lp, d, r, seed=d)
-        grads = attune_backward(pool, params, upstream[:, 0], r_select)
-        ref = sum_before_values_backward(pool, params, upstream[:, 0], r_select)
+        grads = attune_backward(pool, params, upstream[:, 0])
+        ref = sum_before_values_backward(pool, params, upstream[:, 0])
         assert all(np.array_equal(g, g_ref) for g, g_ref in zip(grads, ref))
 
-    @pytest.mark.parametrize("n,lp,d,r,r_select", PINNED_SHAPES + [(10, 4, 32, 3, None)])
-    def test_cache_gives_identical_gradients(self, n, lp, d, r, r_select):
+    @pytest.mark.parametrize("n,lp,d,r", PINNED_SHAPES + [(10, 4, 32, 3)])
+    def test_cache_gives_identical_gradients(self, n, lp, d, r):
         pool, params, upstream = random_case(n, lp, d, r, seed=d + 1)
-        _, cache = attune(pool, params, r_select, with_cache=True)
-        cached = attune_backward(pool, params, upstream[:, 0], r_select, cache=cache)
-        uncached = attune_backward(pool, params, upstream[:, 0], r_select)
+        _, cache = attune(pool, params, with_cache=True)
+        cached = attune_backward(pool, params, upstream[:, 0], cache=cache)
+        uncached = attune_backward(pool, params, upstream[:, 0])
         assert all(np.array_equal(a, b) for a, b in zip(cached, uncached))
 
     def test_close_to_reference_where_blas_rounds_differently(self):
@@ -414,46 +396,3 @@ class TestAttuneBackward:
         for shape in ((2, 2, 3), (2, 4)):
             with pytest.raises(ValueError, match="upstream shape"):
                 attune_backward(pool, params, np.zeros(shape))
-
-
-class TestWeightsFile:
-    def test_roundtrip(self, tmp_path):
-        rng = substream(16, "w")
-        params = AttunementParams.init_random(5, 3, rng)
-        path = tmp_path / "bank.sfpw"
-        save_mlp_weights(path, params.keys, params.values)
-        keys, values = load_mlp_weights(path)
-        # f32 storage: roundtrip at single precision
-        npt.assert_allclose(keys, params.keys, atol=1e-6)
-        npt.assert_allclose(values, params.values, atol=1e-6)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.sfpw"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            load_mlp_weights(path)
-
-    def test_cut_or_padded_file_names_itself(self, tmp_path):
-        d = 5
-        params = AttunementParams.init_random(d, 3, substream(17, "w"))
-        path = tmp_path / "bank.sfpw"
-        save_mlp_weights(path, params.keys, params.values)
-        data = path.read_bytes()
-        matrix = 4 * d * d
-        # inside magic, inside header, header only, inside a matrix, one
-        # matrix short, one byte short, one byte extra
-        for cut in (2, 10, 16, 30, len(data) - matrix, len(data) - 1, len(data) + 1):
-            path.write_bytes((data + b"\x00")[:cut])
-            with pytest.raises(ValueError, match="bank.sfpw"):
-                load_mlp_weights(path)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("field", ["keys", "values"])
-    def test_non_finite_payload_names_the_file(self, tmp_path, field, bad):
-        params = AttunementParams.init_random(4, 2, substream(18, "w"))
-        bank = {"keys": params.keys.copy(), "values": params.values.copy()}
-        bank[field][1, 0, 2] = bad
-        path = tmp_path / "bad.sfpw"
-        save_mlp_weights(path, bank["keys"], bank["values"])
-        with pytest.raises(ValueError, match="bad.sfpw"):
-            load_mlp_weights(path)

@@ -1,4 +1,4 @@
-"""Tests for the surrogate learner: embedders, model, metrics."""
+"""Tests for the surrogate learner: embedder, model, metrics."""
 
 import hashlib
 
@@ -10,7 +10,6 @@ from streamfp import learner, stream_sim
 from streamfp.fingerprints import AttunementParams, FingerprintPool
 from streamfp.learner import (
     EmbeddingBatch,
-    FileEmbedder,
     PrototypeModel,
     SyntheticEmbedder,
     average_accuracy,
@@ -18,9 +17,7 @@ from streamfp.learner import (
     evaluate,
     forward_loss,
     loss_gradients,
-    read_embedding_file,
     train_step,
-    write_embedding_file,
 )
 from streamfp.seeding import substream
 from test_fingerprints import reference_attune, reference_attune_backward
@@ -156,68 +153,6 @@ class TestSyntheticEmbedderGolden:
         assert got == digests
 
 
-class TestEmbeddingFile:
-    def test_roundtrip(self, tmp_path):
-        rng = substream(10, "file")
-        emb = rng.standard_normal((12, 2, 5))
-        labels = rng.integers(0, 4, size=12)
-        path = tmp_path / "stream.sfpe"
-        write_embedding_file(path, emb, labels)
-        emb2, labels2 = read_embedding_file(path)
-        npt.assert_allclose(emb2, emb, atol=1e-6)  # f32 storage
-        npt.assert_array_equal(labels2, labels)
-
-    def test_file_embedder(self, tmp_path):
-        rng = substream(11, "file")
-        emb = rng.standard_normal((8, 1, 3))
-        labels = rng.integers(0, 2, size=8)
-        path = tmp_path / "stream.sfpe"
-        write_embedding_file(path, emb, labels)
-        fe = FileEmbedder(path)
-        batch = fe.embed(0, [2, 5])
-        npt.assert_allclose(batch.embeddings, emb[[2, 5]], atol=1e-6)
-        with pytest.raises(ValueError):
-            fe.embed(0, [99])
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.sfpe"
-        path.write_bytes(b"XXXX" + b"\x00" * 24)
-        with pytest.raises(ValueError):
-            read_embedding_file(path)
-
-    def test_truncated(self, tmp_path):
-        rng = substream(12, "file")
-        path = tmp_path / "t.sfpe"
-        write_embedding_file(path, rng.standard_normal((4, 1, 3)),
-                             np.zeros(4, dtype=np.int64))
-        data = path.read_bytes()
-        path.write_bytes(data[:-20])
-        with pytest.raises(ValueError):
-            read_embedding_file(path)
-
-    def test_cut_or_padded_file_names_itself(self, tmp_path):
-        n = 5
-        path = tmp_path / "cut.sfpe"
-        write_embedding_file(path, substream(13, "file").standard_normal((n, 2, 3)),
-                             np.arange(n))
-        data = path.read_bytes()
-        # inside magic, inside header, header only, inside the embeddings,
-        # two labels short, one byte short, one byte extra
-        for cut in (2, 10, 24, 40, len(data) - 8, len(data) - 1, len(data) + 1):
-            path.write_bytes((data + b"\x00")[:cut])
-            with pytest.raises(ValueError, match="cut.sfpe"):
-                read_embedding_file(path)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_payload_names_the_file(self, tmp_path, bad):
-        emb = substream(14, "file").standard_normal((4, 2, 3))
-        emb[2, 1, 0] = bad
-        path = tmp_path / "bad.sfpe"
-        write_embedding_file(path, emb, np.arange(4))
-        with pytest.raises(ValueError, match="bad.sfpe"):
-            read_embedding_file(path)
-
-
 class TestForwardLoss:
     def test_uniform_logits_loss(self):
         # zero prototypes -> all logits equal -> loss = ln(K_cls)
@@ -234,6 +169,19 @@ class TestForwardLoss:
         batch.labels[0] = 7
         with pytest.raises(ValueError):
             forward_loss(model, batch)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_gradient_path_rejects_label_out_of_range(self, bad):
+        # -1 would index the last class, 3 (= K) past the prototype set
+        model = small_model(n_classes=3)
+        batch = random_batch(14, n_classes=3)
+        batch.labels[0] = bad
+        with pytest.raises(ValueError, match="label out of range"):
+            loss_gradients(model, batch)
+        before = model.prototypes.copy()
+        with pytest.raises(ValueError, match="label out of range"):
+            train_step(model, batch)
+        npt.assert_array_equal(model.prototypes, before)
 
     def test_loss_decreases_under_training(self):
         model = small_model(seed=15, lr=0.2)
@@ -271,17 +219,17 @@ class TestForwardLoss:
                 it.iternext()
 
 
-def token_reference_attune(pool, params, r_select=None, *, with_cache=False):
+def token_reference_attune(pool, params, *, with_cache=False):
     """attune through the per-token reference: attune each token, then sum."""
-    out = reference_attune(pool, params, r_select).sum(axis=1)
+    out = reference_attune(pool, params).sum(axis=1)
     return (out, None) if with_cache else out
 
 
-def token_reference_attune_backward(pool, params, upstream, r_select=None, cache=None):
+def token_reference_attune_backward(pool, params, upstream, cache=None):
     """attune_backward through the per-token reference, the (N, D) upstream
     reaching every token of a fingerprint alike."""
     tokens_upstream = np.repeat(upstream[:, None, :], pool.length, axis=1)
-    return reference_attune_backward(pool, params, tokens_upstream, r_select)
+    return reference_attune_backward(pool, params, tokens_upstream)
 
 
 class TestLossGradientsGolden:
@@ -356,8 +304,8 @@ class TestTrainStep:
         copy = model.trainable_copy()
         assert copy.attn.keys is model.attn.keys
         assert copy.attn.values is model.attn.values
-        assert (copy.learning_rate, copy.grad_steps, copy.r_select) == \
-            (model.learning_rate, model.grad_steps, model.r_select)
+        assert (copy.learning_rate, copy.grad_steps) == \
+            (model.learning_rate, model.grad_steps)
         train_step(copy, random_batch(24), steps=2)
         assert not np.array_equal(copy.prototypes, before[0])
         assert not np.array_equal(copy.pool.weights, before[1])

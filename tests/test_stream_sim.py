@@ -116,6 +116,31 @@ class TestBaselineSelectors:
             kcenter_coreset(x, 0.5), kcenter_coreset(x.mean(axis=1), 0.5)
         )
 
+    @pytest.mark.parametrize("points,sigma", [
+        # rows 1-5 coincide: after two centers every distance is 0
+        (np.array([[3.0, 1.0]] + [[0.0, 0.0]] * 5), 0.5),
+        (np.ones((4, 3)), 1.0),
+    ], ids=["five_coincide", "all_coincide"])
+    def test_kcenter_never_repeats_an_index(self, points, sigma):
+        sel = kcenter_coreset(points, sigma)
+        c = max(1, int(sigma * len(points)))
+        assert len(sel) == c
+        assert len(set(sel.tolist())) == c
+
+    def test_kcenter_distinct_points_select_as_plain_greedy(self):
+        # with distinct points the next center always has a positive
+        # distance, so the greedy needs no guard against repeats
+        rng = substream(11, "k")
+        for n, sigma in ((30, 0.3), (17, 0.5), (8, 1.0)):
+            x = rng.standard_normal((n, 4))
+            d0 = np.linalg.norm(x - x.mean(axis=0), axis=1)
+            selected = [int(np.argmax(d0))]
+            min_dist = np.linalg.norm(x - x[selected[0]], axis=1)
+            while len(selected) < max(1, int(sigma * n)):
+                selected.append(int(np.argmax(min_dist)))
+                min_dist = np.minimum(min_dist, np.linalg.norm(x - x[selected[-1]], axis=1))
+            npt.assert_array_equal(kcenter_coreset(x, sigma), sorted(selected))
+
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             random_coreset(10, 0.0, substream(10, "r"))
