@@ -30,6 +30,14 @@ PINNED_SHAPES = [
 ]
 
 
+def shape_cases(shapes):
+    """One case per (N, L_p, D, R) shape. Each id ends in "-None", the id
+    the shape ran under while the gate could keep fewer than R experts
+    (None meaning all R); keeping it lets results compare across the
+    suite's history."""
+    return [pytest.param(*s, id="-".join(map(str, s)) + "-None") for s in shapes]
+
+
 def identity_params(dim, num_experts, gate=None):
     eye = np.stack([np.eye(dim)] * num_experts)
     if gate is None:
@@ -189,8 +197,9 @@ class TestGateForward:
         mix, _ = gate_forward(pool, identity_params(5, 3))
         npt.assert_allclose(mix, 1.0 / 3.0, atol=1e-12)
 
-    def test_hand_softmax(self):
-        # scores per fingerprint = pooled @ gate = [2, 1, 0]
+    def test_hand_softmax_top2(self):
+        # scores per fingerprint = pooled @ gate = [2, 1, 0]: the top two
+        # experts lead in score order and the third still mixes in
         pool = FingerprintPool(np.array([[[1.0], [3.0]]]))  # pooled = [2]
         params = identity_params(1, 3, gate=np.array([[1.0, 0.5, 0.0]]))
         mix, idx = gate_forward(pool, params)
@@ -204,7 +213,9 @@ class TestGateForward:
         mix, _ = gate_forward(pool, params)
         npt.assert_allclose(mix.sum(axis=1), 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("num_experts", [3, 20])
+    # ids read "experts-kept", as the cases ran when the gate could keep
+    # fewer than R experts; the gate keeps all of them
+    @pytest.mark.parametrize("num_experts", [3, 20], ids=lambda r: f"{r}-{r}")
     def test_matches_per_row_reference_on_ties(self, num_experts):
         # integer pools and a gate with repeated columns give many tied scores
         rng = substream(num_experts * 101, "tie")
@@ -270,13 +281,13 @@ class TestAttune:
         with pytest.raises(ValueError):
             attune(pool, identity_params(4, 2))
 
-    @pytest.mark.parametrize("n,lp,d,r", PINNED_SHAPES + [(10, 4, 32, 3)])
+    @pytest.mark.parametrize("n,lp,d,r", shape_cases(PINNED_SHAPES + [(10, 4, 32, 3)]))
     def test_matches_summed_token_reference(self, n, lp, d, r):
         pool, params, _ = random_case(n, lp, d, r, seed=d)
         expected = reference_attune(pool, params).sum(axis=1)
         assert_close_to_largest(attune(pool, params), expected)
 
-    @pytest.mark.parametrize("n,lp,d,r", PINNED_SHAPES)
+    @pytest.mark.parametrize("n,lp,d,r", shape_cases(PINNED_SHAPES))
     def test_bit_identical_to_per_fingerprint_reference(self, n, lp, d, r):
         pool, params, _ = random_case(n, lp, d, r, seed=d)
         out = attune(pool, params)
@@ -358,7 +369,7 @@ class TestAttuneBackward:
                 assert grad[ix] == pytest.approx(fd, abs=1e-6, rel=1e-5)
                 it.iternext()
 
-    @pytest.mark.parametrize("n,lp,d,r", PINNED_SHAPES + [(10, 4, 32, 3)])
+    @pytest.mark.parametrize("n,lp,d,r", shape_cases(PINNED_SHAPES + [(10, 4, 32, 3)]))
     def test_matches_summed_token_reference(self, n, lp, d, r):
         pool, params, upstream = random_case(n, lp, d, r, seed=d)
         # an (N, D) upstream reaches every token of a fingerprint alike
@@ -368,14 +379,14 @@ class TestAttuneBackward:
         for g, g_ref in zip(grads, expected):
             assert_close_to_largest(g, g_ref)
 
-    @pytest.mark.parametrize("n,lp,d,r", PINNED_SHAPES)
+    @pytest.mark.parametrize("n,lp,d,r", shape_cases(PINNED_SHAPES))
     def test_bit_identical_to_per_fingerprint_reference(self, n, lp, d, r):
         pool, params, upstream = random_case(n, lp, d, r, seed=d)
         grads = attune_backward(pool, params, upstream[:, 0])
         ref = sum_before_values_backward(pool, params, upstream[:, 0])
         assert all(np.array_equal(g, g_ref) for g, g_ref in zip(grads, ref))
 
-    @pytest.mark.parametrize("n,lp,d,r", PINNED_SHAPES + [(10, 4, 32, 3)])
+    @pytest.mark.parametrize("n,lp,d,r", shape_cases(PINNED_SHAPES + [(10, 4, 32, 3)]))
     def test_cache_gives_identical_gradients(self, n, lp, d, r):
         pool, params, upstream = random_case(n, lp, d, r, seed=d + 1)
         _, cache = attune(pool, params, with_cache=True)
