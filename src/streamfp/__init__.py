@@ -24,7 +24,6 @@ from .core_math import (
     gelu,
     l2_normalize,
     softmax,
-    top_k,
 )
 from .fingerprints import AttunementParams, FingerprintPool, aggregate, attune
 from .coreset import CoresetSelection, check_quality_bound, select_coreset

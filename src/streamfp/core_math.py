@@ -118,17 +118,3 @@ def gelu_with_grad(x):
     phi = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
     return x * cdf, cdf + x * phi
 
-
-def top_k(v, k):
-    """Top-k values of ``v`` in descending order with their indices.
-
-    Ties are broken by the lower original index.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"top_k expects a vector, got shape {v.shape}")
-    if not 1 <= k <= v.size:
-        raise ValueError(f"k={k} out of range for vector of length {v.size}")
-    order = np.argsort(-v, kind="stable")
-    idx = order[:k]
-    return v[idx], idx

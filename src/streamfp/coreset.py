@@ -23,6 +23,14 @@ class CoresetSelection:
     similarity: np.ndarray
 
 
+def coreset_size(b, sigma):
+    """Coreset size c = max(1, floor(sigma * b)) for a batch of b samples,
+    sigma in (0, 1]."""
+    if not 0.0 < sigma <= 1.0:
+        raise ValueError(f"sigma must be in (0, 1], got {sigma}")
+    return max(1, math.floor(sigma * b))
+
+
 def select_coreset(similarity, sigma):
     """Select the median-proximate window of a batch by similarity.
 
@@ -34,10 +42,8 @@ def select_coreset(similarity, sigma):
     s = np.asarray(similarity, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("similarity must be a non-empty vector")
-    if not 0.0 < sigma <= 1.0:
-        raise ValueError(f"sigma must be in (0, 1], got {sigma}")
     b = s.size
-    c = max(1, math.floor(sigma * b))
+    c = coreset_size(b, sigma)
     order = np.argsort(-s, kind="stable")
     lo = b // 2 - c // 2
     hi = b // 2 + c // 2

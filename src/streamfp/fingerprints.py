@@ -112,25 +112,17 @@ def aggregate(pool):
 
 
 def gate_forward(pool, params):
-    """Gate decision per fingerprint: mixing weights and expert indices.
+    """Gate mixing weights per fingerprint, shape (N, R).
 
     The gate input is the mean over the length dimension of each
-    fingerprint, projected through the gate matrix; all R scores, in
-    descending order (ties to the lower expert index), are softmaxed into
-    mixing weights. The order fixes the summation order of the softmax and
-    of the mixing in :func:`attune`.
-
-    Returns:
-        (W, I): both (N, R); I[n] lists the experts in score order and
-        W[n] their weights, which sum to 1.
+    fingerprint, projected through the gate matrix; the R scores are
+    softmaxed in expert order, so column r is expert r's weight and each
+    row sums to 1.
     """
     pooled = pool.weights.mean(axis=1)  # (N, D)
     scores = pooled @ params.gate  # (N, R)
-    # row-wise core_math.top_k and softmax, with the same arithmetic
-    idx = np.argsort(-scores, axis=1, kind="stable")
-    vals = np.take_along_axis(scores, idx, axis=1)
-    e = np.exp(vals - vals.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True), idx
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _token_matmul(x, w):
@@ -143,7 +135,6 @@ class AttuneCache(NamedTuple):
     """What :func:`attune_backward` reuses from the forward pass."""
 
     mix: np.ndarray  # (N, R) gate mixing weights
-    idx: np.ndarray  # (N, R) expert indices in score order
     expert_sums: np.ndarray  # (R, N, D) expert outputs summed over L_p
     gelu_slope: np.ndarray  # (R, N, L_p, D) GELU derivative at the pre-activations
 
@@ -174,42 +165,39 @@ def attune(pool, params, *, with_cache=False):
     """Attuned fingerprints summed over their length, shape (N, D).
 
     Each token of fingerprint n becomes the gate-weighted convex
-    combination of all R experts' outputs; the result is the sum of
-    the L_p attuned tokens, the only form of them the engine reads.
+    combination of all R experts' outputs, mixed in expert order; the
+    result is the sum of the L_p attuned tokens, the only form of them the
+    engine reads.
 
     With ``with_cache`` the result is ``(out, cache)``: an
-    :class:`AttuneCache` holding the gate decision, the expert sums and the
-    GELU derivative at the pre-activations, for :func:`attune_backward` to
-    reuse instead of repeating the forward. It stays valid only while
-    ``pool`` and ``params`` are unchanged.
+    :class:`AttuneCache` holding the mixing weights, the expert sums and
+    the GELU derivative at the pre-activations, which
+    :func:`attune_backward` reads instead of repeating the forward. It
+    stays valid only while ``pool`` and ``params`` are unchanged.
     """
     if pool.dim != params.dim:
         raise ValueError(f"pool dim {pool.dim} does not match MLP dim {params.dim}")
-    mix, idx = gate_forward(pool, params)
+    mix = gate_forward(pool, params)
     sums, slope = _expert_sums(pool, params, keep_slope=with_cache)
     out = np.zeros((pool.count, pool.dim))
-    rows = np.arange(pool.count)
-    for j in range(mix.shape[1]):
-        out += mix[:, j, None] * sums[idx[:, j], rows]
+    for r in range(params.num_experts):
+        out += mix[:, r, None] * sums[r]
     if with_cache:
-        return out, AttuneCache(mix, idx, sums, slope)
+        return out, AttuneCache(mix, sums, slope)
     return out
 
 
-def attune_backward(pool, params, upstream, cache=None):
+def attune_backward(pool, params, upstream, cache):
     """Analytic gradients of a scalar loss through :func:`attune`.
 
     Gradient flows through the softmax over the gate scores and through
-    the expert MLPs; the score order is piecewise constant and passes none.
-    Frozen MLP gradients are not produced.
+    the expert MLPs. Frozen MLP gradients are not produced.
 
     Args:
         upstream: dLoss/dOutput, shape (N, D): the gradient with respect to
             the attuned fingerprints summed over their length.
         cache: the :class:`AttuneCache` from ``attune(pool, params,
             with_cache=True)`` on the same, unchanged pool and params.
-            The result is the same with or without it; without it the
-            gate decision and expert sums are recomputed.
 
     Returns:
         (grad_pool, grad_gate) with shapes (N, L_p, D) and (D, R).
@@ -220,25 +208,16 @@ def attune_backward(pool, params, upstream, cache=None):
             f"upstream shape {upstream.shape} does not match the summed "
             f"fingerprints {(pool.count, pool.dim)}"
         )
-    if cache is None:
-        mix, idx = gate_forward(pool, params)
-        sums, slope = _expert_sums(pool, params, keep_slope=True)
-    else:
-        mix, idx, sums, slope = cache
+    mix, sums, slope = cache
     n, n_experts = mix.shape
-    rows = np.arange(n)
     lp = pool.length
 
-    # gate path: dL/dmix[n, j] = <upstream[n], sums[idx[n, j], n]>
+    # gate path: dL/dmix[n, r] = <upstream[n], sums[r, n]>, then the
+    # softmax Jacobian per row
     dmix = np.empty((n, n_experts), dtype=np.float64)
-    for j in range(n_experts):
-        dmix[:, j] = np.einsum("nd,nd->n", upstream, sums[idx[:, j], rows])
-    # softmax Jacobian per row, then back from score order to expert order
-    dvals = mix * (dmix - np.sum(mix * dmix, axis=1, keepdims=True))
-    dscores = np.zeros((n, n_experts), dtype=np.float64)
-    np.add.at(dscores, (rows[:, None], idx), dvals)
-    mix_by_expert = np.zeros((n, n_experts), dtype=np.float64)
-    np.add.at(mix_by_expert, (rows[:, None], idx), mix)
+    for r in range(n_experts):
+        dmix[:, r] = np.einsum("nd,nd->n", upstream, sums[r])
+    dscores = mix * (dmix - np.sum(mix * dmix, axis=1, keepdims=True))
 
     pooled = pool.weights.mean(axis=1)  # (N, D)
     grad_gate = pooled.T @ dscores  # (D, R)
@@ -246,11 +225,8 @@ def attune_backward(pool, params, upstream, cache=None):
 
     # token path: accumulate per expert, weighted by its mixing weights
     for r in range(n_experts):
-        coef = mix_by_expert[:, r]
-        if not np.any(coef):
-            continue
         # dL/d gelu(h) is the same for every token of a fingerprint
         d_act = upstream @ params.values[r]  # (N, D)
         d_pre = d_act[:, None, :] * slope[r]
-        grad_pool += coef[:, None, None] * _token_matmul(d_pre, params.keys[r])
+        grad_pool += mix[:, r, None, None] * _token_matmul(d_pre, params.keys[r])
     return grad_pool, grad_gate

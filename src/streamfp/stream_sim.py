@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .buffer import RehearsalBuffer, keep_first_update, reservoir_update, update_buffer
-from .coreset import select_coreset
+from .coreset import coreset_size, select_coreset
 from .core_math import batch_similarity, sum_similarity
 from .fingerprints import aggregate
 from .learner import (
@@ -151,12 +151,16 @@ class StreamConfig:
                 2 * self.num_experts * self.dim * self.dim  # frozen MLP bank
                 + (self.tasks * self.eval_size + self.buffer_size + self.batch_size) * row
                 + self.n_fingerprints * self.fingerprint_length * self.dim
+                # attunement cache: (R, N, L_p, D) GELU slope and (R, N, D) sums
+                + self.num_experts * self.n_fingerprints * (self.fingerprint_length + 1)
+                * self.dim
             )
             have = _physical_memory_bytes()
             if have is not None and 8 * floats > have:
                 errors.append(
                     f"key `dim`: D = {self.dim} needs about {8 * floats / 2**30:.3g} GiB of "
-                    f"float64 arrays (MLP bank 2*R*D^2, eval sets, buffer, batch, pool), "
+                    f"float64 arrays (MLP bank 2*R*D^2, eval sets, buffer, batch, pool, "
+                    f"attunement cache R*N*(L_p+1)*D), "
                     f"more than the {have / 2**30:.3g} GiB of physical memory")
         return errors
 
@@ -277,10 +281,8 @@ def skip_schedule(num_batches, c_s, rng):
 
 
 def random_coreset(batch_size, sigma, rng):
-    """Uniform random coreset of size max(1, floor(sigma * b))."""
-    if not 0 < sigma <= 1:
-        raise ValueError("sigma must be in (0, 1]")
-    c = max(1, math.floor(sigma * batch_size))
+    """Uniform random coreset of size ``coreset_size(b, sigma)``."""
+    c = coreset_size(batch_size, sigma)
     return np.sort(rng.choice(batch_size, size=c, replace=False))
 
 
@@ -292,13 +294,10 @@ def kcenter_coreset(emd, sigma):
     point is never picked again, so a batch with fewer distinct points
     than ``c`` still yields ``c`` distinct indices.
     """
-    if not 0 < sigma <= 1:
-        raise ValueError("sigma must be in (0, 1]")
     pooled = np.asarray(emd, dtype=np.float64)
     if pooled.ndim == 3:
         pooled = pooled.mean(axis=1)
-    n = pooled.shape[0]
-    c = max(1, math.floor(sigma * n))
+    c = coreset_size(pooled.shape[0], sigma)
     centroid = pooled.mean(axis=0)
     d0 = np.linalg.norm(pooled - centroid, axis=1)
     first = int(np.argmax(d0))

@@ -14,7 +14,6 @@ from streamfp.core_math import (
     gelu_with_grad,
     l2_normalize,
     softmax,
-    top_k,
 )
 
 
@@ -210,31 +209,6 @@ class TestGelu:
         assert value.shape == grad.shape == x.shape
         assert value.tobytes() == gelu(x).tobytes()
         assert grad.tobytes() == gelu_grad(x).tobytes()
-
-
-class TestTopK:
-    def test_values_and_indices(self):
-        v = np.array([0.1, 0.9, 0.5, 0.7])
-        vals, idx = top_k(v, 2)
-        npt.assert_array_equal(idx, [1, 3])
-        npt.assert_allclose(vals, [0.9, 0.7])
-
-    def test_stable_tie_break(self):
-        v = np.array([0.5, 0.9, 0.9, 0.5])
-        _, idx = top_k(v, 3)
-        npt.assert_array_equal(idx, [1, 2, 0])
-
-    def test_k_equals_n(self):
-        v = np.array([3.0, 1.0, 2.0])
-        vals, idx = top_k(v, 3)
-        npt.assert_array_equal(idx, [0, 2, 1])
-        npt.assert_allclose(vals, [3.0, 2.0, 1.0])
-
-    def test_bad_k(self):
-        with pytest.raises(ValueError):
-            top_k(np.array([1.0, 2.0]), 0)
-        with pytest.raises(ValueError):
-            top_k(np.array([1.0, 2.0]), 3)
 
 
 def test_norm_eps_is_small_positive():

@@ -225,7 +225,7 @@ def token_reference_attune(pool, params, *, with_cache=False):
     return (out, None) if with_cache else out
 
 
-def token_reference_attune_backward(pool, params, upstream, cache=None):
+def token_reference_attune_backward(pool, params, upstream, cache):
     """attune_backward through the per-token reference, the (N, D) upstream
     reaching every token of a fingerprint alike."""
     tokens_upstream = np.repeat(upstream[:, None, :], pool.length, axis=1)

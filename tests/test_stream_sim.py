@@ -231,10 +231,12 @@ class TestStreamConfigValidate:
 
     def test_memory_estimate_against_physical_memory(self, monkeypatch):
         # paper shape: 2*R*D^2 bank, 3*400 eval samples + 512 buffered + 64
-        # in the batch of L*D floats each, and an (N, L_p, D) pool
+        # in the batch of L*D floats each, an (N, L_p, D) pool and the
+        # R*N*(L_p+1)*D attunement cache
         cfg = StreamConfig(dim=768, tokens=4, n_fingerprints=100, fingerprint_length=4,
                            batch_size=64, buffer_size=512, tasks=3, eval_size=400)
-        need = 8 * (2 * 3 * 768**2 + (3 * 400 + 512 + 64) * 4 * 768 + 100 * 4 * 768)
+        need = 8 * (2 * 3 * 768**2 + (3 * 400 + 512 + 64) * 4 * 768 + 100 * 4 * 768
+                    + 3 * 100 * 5 * 768)
         monkeypatch.setattr(stream_sim, "_physical_memory_bytes", lambda: need)
         assert cfg.validate() == []
         monkeypatch.setattr(stream_sim, "_physical_memory_bytes", lambda: need - 1)
@@ -243,6 +245,17 @@ class TestStreamConfigValidate:
         # where the platform does not tell, nothing is rejected
         monkeypatch.setattr(stream_sim, "_physical_memory_bytes", lambda: None)
         assert StreamConfig(dim=10**9).validate() == []
+
+    def test_memory_estimate_counts_attunement_cache(self, monkeypatch):
+        # many experts over many short fingerprints: the (R, N, L_p, D) GELU
+        # slope and (R, N, D) sums of the attunement cache dominate
+        cfg = StreamConfig(lam=6028, seed=1, num_experts=64, n_fingerprints=400000,
+                           fingerprint_length=2, dim=16)
+        cache = 8 * 64 * 400000 * 3 * 16
+        # between the estimate without the cache and the one with it
+        monkeypatch.setattr(stream_sim, "_physical_memory_bytes", lambda: cache)
+        errors = cfg.validate()
+        assert len(errors) == 1 and "attunement cache" in errors[0]
 
     def test_run_experiment_rejects_invalid(self):
         with pytest.raises(ValueError, match="sigma"):
