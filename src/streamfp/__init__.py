@@ -23,7 +23,6 @@ from .core_math import (
     batch_similarity,
     gelu,
     l2_normalize,
-    softmax,
 )
 from .fingerprints import AttunementParams, FingerprintPool, aggregate, attune
 from .coreset import CoresetSelection, check_quality_bound, select_coreset

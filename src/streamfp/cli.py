@@ -26,17 +26,8 @@ from .checks import (
     sampler_check,
     update_count_expectation_check,
 )
-from .coreset import select_coreset
-from .core_math import batch_similarity
 from .seeding import substream
-from .stream_sim import (
-    StreamConfig,
-    coerce,
-    kcenter_coreset,
-    metrics_csv,
-    random_coreset,
-    run_experiment,
-)
+from .stream_sim import SELECTORS, StreamConfig, coerce, metrics_csv, run_experiment, select
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -231,7 +222,11 @@ def cmd_verify(args):
 
 
 def bench_selectors(selectors, batch_size, dim, n_fingerprints, repeats, seed=1):
-    """Median per-batch selection latency and samples/sec per selector."""
+    """Median per-batch selection latency and samples/sec per selector,
+    each selecting through the run's ``stream_sim.select``."""
+    for name in selectors:
+        if name not in SELECTORS:
+            raise ValueError(f"unknown selector {name!r}")
     rng = substream(seed, "bench")
     emd = rng.standard_normal((batch_size, 1, dim))
     fingerprints = rng.standard_normal((n_fingerprints, dim))
@@ -242,15 +237,7 @@ def bench_selectors(selectors, batch_size, dim, n_fingerprints, repeats, seed=1)
         for _ in range(repeats):
             sel_rng = substream(seed, f"bench-{name}")
             t0 = time.perf_counter()
-            if name == "streamfp":
-                s = batch_similarity(emd, fingerprints)
-                select_coreset(s, sigma)
-            elif name == "random":
-                random_coreset(batch_size, sigma, sel_rng)
-            elif name == "kcenter":
-                kcenter_coreset(emd, sigma)
-            else:
-                raise ValueError(f"unknown selector {name!r}")
+            select(name, sigma, emd, fingerprints, sel_rng)
             times.append(time.perf_counter() - t0)
         median = statistics.median(times)
         rows.append((name, median, batch_size / median))
@@ -263,7 +250,7 @@ def cmd_bench(args):
         print("config error: empty selector list", file=sys.stderr)
         return EXIT_CONFIG
     for s in selectors:
-        if s not in ("streamfp", "random", "kcenter"):
+        if s not in SELECTORS:
             print(f"config error: unknown selector {s!r}", file=sys.stderr)
             return EXIT_CONFIG
     if min(args.batch_size, args.dim, args.fingerprints, args.repeats) < 1:

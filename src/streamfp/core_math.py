@@ -85,16 +85,6 @@ def angular_cost(sims):
     return float(np.mean(np.arccos(clipped)))
 
 
-def softmax(v):
-    """Numerically stable (max-subtracted) softmax."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("softmax of an empty vector")
-    shifted = v - np.max(v)
-    e = np.exp(shifted)
-    return e / np.sum(e)
-
-
 def gelu(x):
     """Exact Gaussian-CDF GELU, x * Phi(x). Accepts scalars or arrays."""
     x = np.asarray(x, dtype=np.float64)
@@ -102,17 +92,9 @@ def gelu(x):
     return out if out.ndim else float(out)
 
 
-def gelu_grad(x):
-    """Derivative of the exact GELU: Phi(x) + x * phi(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    phi = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    out = ndtr(x) + x * phi
-    return out if out.ndim else float(out)
-
-
 def gelu_with_grad(x):
-    """``(gelu(x), gelu_grad(x))`` of an array from one evaluation of Phi;
-    the same bits as the two calls."""
+    """``gelu(x)`` of an array and its derivative Phi(x) + x * phi(x),
+    from one evaluation of Phi; the value has the same bits as ``gelu``."""
     x = np.asarray(x, dtype=np.float64)
     cdf = ndtr(x)
     phi = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)

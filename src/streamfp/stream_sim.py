@@ -33,22 +33,24 @@ SELECTORS = ("streamfp", "random", "kcenter", "none")
 BUFFER_POLICIES = ("streamfp", "reservoir", "keep_first", "none")
 SKIP_MODES = ("skip_batches", "lower_ratio")
 
-CSV_COLUMNS = [
-    "run_id",
-    "selector",
-    "buffer_policy",
-    "lambda",
-    "C_S",
-    "sigma",
-    "m",
-    "K",
-    "seed",
-    "class_order",
-    "avg_accuracy",
-    "avg_forgetting",
-    "selection_throughput_sps",
-    "total_runtime_s",
-]
+# the metrics CSV: each column and its text, from (report, config)
+_CSV_TABLE = (
+    ("run_id", lambda r, c: c.run_id),
+    ("selector", lambda r, c: c.selector),
+    ("buffer_policy", lambda r, c: c.buffer_policy),
+    ("lambda", lambda r, c: f"{c.lam:.6g}"),
+    ("C_S", lambda r, c: f"{r.c_s:.6f}"),
+    ("sigma", lambda r, c: f"{c.sigma:.6g}"),
+    ("m", lambda r, c: str(c.buffer_size)),
+    ("K", lambda r, c: str(c.grad_steps)),
+    ("seed", lambda r, c: str(c.seed)),
+    ("class_order", lambda r, c: str(c.class_order)),
+    ("avg_accuracy", lambda r, c: f"{r.avg_accuracy:.6f}"),
+    ("avg_forgetting", lambda r, c: f"{r.avg_forgetting:.6f}"),
+    ("selection_throughput_sps", lambda r, c: f"{r.selection_throughput_sps:.3f}"),
+    ("total_runtime_s", lambda r, c: f"{r.total_runtime_s:.6f}"),
+)
+CSV_COLUMNS = [column for column, _ in _CSV_TABLE]
 
 
 # range rules, by the text that names them in error messages
@@ -137,31 +139,39 @@ class StreamConfig:
         if all(isinstance(v, numbers.Real) for v in (self.n_classes, self.tasks)) \
                 and self.n_classes < self.tasks:
             errors.append(f"key `n_classes`: must be >= tasks ({self.tasks}), got {self.n_classes}")
-        # a pinned C_S that overflows would skip every batch
         if not errors and self.pinned_batch_time is not None and self.c_s_override is None:
-            c_s = relative_complexity(
-                self.pinned_batch_time, self.lam, self.dataset_size, self.batch_size)
-            if not math.isfinite(c_s):
-                errors.append(f"keys `lambda` and `pinned_batch_time`: C_S = {c_s}, not finite")
+            try:
+                relative_complexity(
+                    self.pinned_batch_time, self.lam, self.dataset_size, self.batch_size)
+            except ValueError as exc:
+                errors.append(f"keys `lambda` and `pinned_batch_time`: {exc}")
         # a run whose largest float64 arrays cannot fit in memory is a config
         # error, found before anything is allocated
         if not errors:
-            row = self.tokens * self.dim
-            floats = (
-                2 * self.num_experts * self.dim * self.dim  # frozen MLP bank
-                + (self.tasks * self.eval_size + self.buffer_size + self.batch_size) * row
-                + self.n_fingerprints * self.fingerprint_length * self.dim
-                # attunement cache: (R, N, L_p, D) GELU slope and (R, N, D) sums
-                + self.num_experts * self.n_fingerprints * (self.fingerprint_length + 1)
-                * self.dim
-            )
+            row, r, n, lp, d = (self.tokens * self.dim, self.num_experts,
+                                self.n_fingerprints, self.fingerprint_length, self.dim)
+            # (name, INI keys, float64 count) of each array a run holds at once
+            terms = [
+                ("MLP bank 2*R*D^2", ("num_experts", "dim"), 2 * r * d * d),
+                ("eval sets", ("tasks", "eval_size", "tokens", "dim"),
+                 self.tasks * self.eval_size * row),
+                ("buffer", ("buffer_size", "tokens", "dim"), self.buffer_size * row),
+                ("batch", ("batch_size", "tokens", "dim"), self.batch_size * row),
+                ("pool N*L_p*D", ("n_fingerprints", "fingerprint_length", "dim"), n * lp * d),
+                # the (R, N, L_p, D) GELU slope and the (R, N, D) expert sums
+                ("attunement cache R*N*(L_p+1)*D",
+                 ("num_experts", "n_fingerprints", "fingerprint_length", "dim"),
+                 r * n * (lp + 1) * d),
+            ]
+            floats = sum(count for _, _, count in terms)
             have = _physical_memory_bytes()
             if have is not None and 8 * floats > have:
+                name, keys, count = max(terms, key=lambda term: term[2])
                 errors.append(
-                    f"key `dim`: D = {self.dim} needs about {8 * floats / 2**30:.3g} GiB of "
-                    f"float64 arrays (MLP bank 2*R*D^2, eval sets, buffer, batch, pool, "
-                    f"attunement cache R*N*(L_p+1)*D), "
-                    f"more than the {have / 2**30:.3g} GiB of physical memory")
+                    f"keys {', '.join(f'`{key}`' for key in keys)}: the run needs about "
+                    f"{8 * floats / 2**30:.3g} GiB of float64 arrays, more than the "
+                    f"{have / 2**30:.3g} GiB of physical memory; its largest term is the "
+                    f"{name}, {8 * count / 2**30:.3g} GiB")
         return errors
 
 
@@ -220,22 +230,7 @@ class MetricsReport:
     batch_time_s: float = 0.0
 
     def csv_row(self, config):
-        return [
-            config.run_id,
-            config.selector,
-            config.buffer_policy,
-            f"{config.lam:.6g}",
-            f"{self.c_s:.6f}",
-            f"{config.sigma:.6g}",
-            str(config.buffer_size),
-            str(config.grad_steps),
-            str(config.seed),
-            str(config.class_order),
-            f"{self.avg_accuracy:.6f}",
-            f"{self.avg_forgetting:.6f}",
-            f"{self.selection_throughput_sps:.3f}",
-            f"{self.total_runtime_s:.6f}",
-        ]
+        return [text(self, config) for _, text in _CSV_TABLE]
 
     def to_json_dict(self, config):
         return {
@@ -261,12 +256,18 @@ def metrics_csv(reports_and_configs):
 
 
 def relative_complexity(measured_batch_time, lam, dataset_size, batch_size):
-    """Expected total training time divided by the total stream duration."""
+    """Expected total training time divided by the total stream duration.
+    Raises ValueError where it overflows, since a C_S of inf would skip
+    every batch."""
     if measured_batch_time <= 0 or lam <= 0 or dataset_size <= 0 or batch_size <= 0:
         raise ValueError("relative_complexity needs strictly positive inputs")
     total_duration = dataset_size / lam
     expected_train = measured_batch_time * (dataset_size / batch_size)
-    return expected_train / total_duration
+    c_s = expected_train / total_duration
+    if not math.isfinite(c_s):
+        raise ValueError(f"C_S = {c_s}, not finite, for lambda = {lam:g} and a batch "
+                         f"time of {measured_batch_time:g} s")
+    return c_s
 
 
 def skip_schedule(num_batches, c_s, rng):
@@ -328,21 +329,26 @@ def _concat_batches(a, b):
     )
 
 
-def _select(selector, sigma, model, batch, rng):
-    """Run the configured selector; returns (indices, similarity or None).
+def select(selector, sigma, emd, fingerprints, rng):
+    """Coreset of the ``(b, L, D)`` embeddings ``emd`` by the named selector
+    of ``SELECTORS``; returns (indices, similarity or None). Only
+    ``streamfp`` reads the ``(N, D)`` fingerprints, and only ``random``
+    draws from ``rng``. The driver and ``streamfp bench`` both select here.
 
-    Scoring uses the raw ``aggregate(model.pool)``, not the attuned pool
-    that the loss sees, and so does the buffer's resident scoring. This is
-    kept on purpose: scoring through the attuned pool would change every
-    selection and buffer decision, and so every recorded run output.
+    The driver passes the raw ``aggregate(model.pool)``, not the attuned
+    pool that the loss sees, and so does the buffer's resident scoring.
+    This is kept on purpose: scoring through the attuned pool would change
+    every selection and buffer decision, and so every recorded run output.
     """
     if selector == "none":
-        return np.arange(len(batch)), None
+        return np.arange(len(emd)), None
     if selector == "random":
-        return random_coreset(len(batch), sigma, rng), None
+        return random_coreset(len(emd), sigma, rng), None
     if selector == "kcenter":
-        return kcenter_coreset(batch.embeddings, sigma), None
-    s = batch_similarity(batch.embeddings, aggregate(model.pool))
+        return kcenter_coreset(emd, sigma), None
+    if selector != "streamfp":
+        raise ValueError(f"unknown selector {selector!r}")
+    s = batch_similarity(emd, fingerprints)
     return select_coreset(s, sigma).indices, s
 
 
@@ -365,8 +371,8 @@ def run_experiment(config):
     skip_rng = substream(seed, "skip")
     retrieval_rng = substream(seed, "retrieval")
 
-    order = class_order_permutation(config.class_order, config.n_classes)
-    embedder = SyntheticEmbedder(
+    # the class geometry that the stream and the eval sets share
+    geometry = dict(
         seed=seed,
         n_classes=config.n_classes,
         dim=config.dim,
@@ -374,11 +380,14 @@ def run_experiment(config):
         n_tasks=config.tasks,
         noise_std=config.noise_std,
         drift_std=config.drift_std,
+        class_concentration=config.class_concentration,
+        class_order=class_order_permutation(config.class_order, config.n_classes),
+    )
+    embedder = SyntheticEmbedder(
+        **geometry,
         outlier_fraction=config.outlier_fraction,
         outlier_scale=config.outlier_scale,
         dominant_fraction=config.dominant_fraction,
-        class_concentration=config.class_concentration,
-        class_order=order,
     )
     # the run's one model, and so its one frozen MLP bank
     model = PrototypeModel.init_random(
@@ -392,22 +401,20 @@ def run_experiment(config):
         grad_steps=config.grad_steps,
     )
 
-    num_batches = config.dataset_size // config.batch_size
-    num_batches = max(num_batches, config.tasks)
+    num_batches = max(config.dataset_size // config.batch_size, config.tasks)
     batches_per_task = max(1, num_batches // config.tasks)
-
-    def batch_task(batch_idx):
-        return min(batch_idx // batches_per_task, config.tasks - 1)
+    # the task of each batch; the last task takes the remainder
+    task_of = np.minimum(np.arange(num_batches) // batches_per_task, config.tasks - 1)
 
     def make_batch(batch_idx):
-        task = batch_task(batch_idx)
-        local = batch_idx - task * batches_per_task
-        start = local * config.batch_size
-        return task, embedder.embed(task, np.arange(start, start + config.batch_size))
+        task = int(task_of[batch_idx])
+        start = (batch_idx - task * batches_per_task) * config.batch_size
+        return embedder.embed(task, np.arange(start, start + config.batch_size))
 
     def run_batch(model, buffer, batch, timings, sigma):
         t0 = time.perf_counter()
-        sel_idx, s = _select(config.selector, sigma, model, batch, sel_rng)
+        sel_idx, s = select(
+            config.selector, sigma, batch.embeddings, aggregate(model.pool), sel_rng)
         t1 = time.perf_counter()
         coreset_batch = EmbeddingBatch(
             batch.embeddings[sel_idx], batch.labels[sel_idx], batch.sample_ids[sel_idx]
@@ -447,7 +454,7 @@ def run_experiment(config):
         warm_timings = {"selection": 0.0, "train": 0.0, "buffer": 0.0}
         per_batch = []
         for w in range(config.warmup_batches):
-            _, batch = make_batch(w % num_batches)
+            batch = make_batch(w % num_batches)
             tw = time.perf_counter()
             run_batch(warm_model, warm_buffer, batch, warm_timings, config.sigma)
             per_batch.append(time.perf_counter() - tw)
@@ -465,35 +472,25 @@ def run_experiment(config):
         batch_time = config.pinned_batch_time
     else:
         batch_time = warmup_batch_time()
-    buffer = RehearsalBuffer(config.buffer_size)
-
-    # evaluation uses clean, balanced samples from the same class geometry,
-    # in an index range disjoint from any training sample; they are a pure
-    # function of (seed, task, index), built after the warm-up so that they
-    # are not resident during it
-    eval_embedder = SyntheticEmbedder(
-        seed=seed,
-        n_classes=config.n_classes,
-        dim=config.dim,
-        tokens=config.tokens,
-        n_tasks=config.tasks,
-        noise_std=config.noise_std,
-        drift_std=config.drift_std,
-        class_concentration=config.class_concentration,
-        class_order=order,
-    )
-    eval_base = config.dataset_size + 1_000_000
-    eval_sets = [
-        eval_embedder.embed(t, np.arange(eval_base, eval_base + config.eval_size))
-        for t in range(config.tasks)
-    ]
-
+    # raises where C_S overflows, before the run trains on anything
     if config.c_s_override is not None:
         c_s = config.c_s_override
     else:
         c_s = relative_complexity(
             batch_time, config.lam, config.dataset_size, config.batch_size
         )
+    buffer = RehearsalBuffer(config.buffer_size)
+
+    # evaluation uses clean, balanced samples from the same class geometry,
+    # in an index range disjoint from any training sample; they are a pure
+    # function of (seed, task, index), built after the warm-up so that they
+    # are not resident during it
+    eval_embedder = SyntheticEmbedder(**geometry)
+    eval_base = config.dataset_size + 1_000_000
+    eval_sets = [
+        eval_embedder.embed(t, np.arange(eval_base, eval_base + config.eval_size))
+        for t in range(config.tasks)
+    ]
 
     if config.skip_mode == "lower_ratio":
         retained = np.arange(num_batches)
@@ -501,20 +498,13 @@ def run_experiment(config):
     else:
         retained = skip_schedule(num_batches, c_s, skip_rng)
         run_sigma = config.sigma
-    retained_set = set(int(i) for i in retained)
 
     timings = {"selection": 0.0, "train": 0.0, "buffer": 0.0, "eval": 0.0}
     acc_rows = []
-    selected_samples = 0
     for task in range(config.tasks):
-        lo = task * batches_per_task
-        hi = num_batches if task == config.tasks - 1 else lo + batches_per_task
-        for batch_idx in range(lo, hi):
-            if batch_idx not in retained_set:
-                continue
-            _, batch = make_batch(batch_idx)
-            run_batch(model, buffer, batch, timings, run_sigma)
-            selected_samples += len(batch)
+        # retained is sorted, so each task's batches run in stream order
+        for batch_idx in retained[task_of[retained] == task]:
+            run_batch(model, buffer, make_batch(batch_idx), timings, run_sigma)
         te = time.perf_counter()
         # one attunement serves every eval set of this checkpoint
         p_agg = model.attuned_pool()
@@ -525,7 +515,8 @@ def run_experiment(config):
     if config.pinned_selection_throughput is not None:
         throughput = config.pinned_selection_throughput
     else:
-        throughput = selected_samples / max(timings["selection"], 1e-12)
+        # every batch has batch_size rows
+        throughput = len(retained) * config.batch_size / max(timings["selection"], 1e-12)
     if config.pinned_total_runtime is not None:
         total_runtime = config.pinned_total_runtime
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -15,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamfp import cli
+from streamfp import cli, stream_sim
 from streamfp.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_RUNTIME,
     apply_overrides,
     default_config_text,
     load_config,
@@ -276,6 +278,22 @@ class TestRunCommand:
         assert code == (EXIT_CONFIG if invalid else EXIT_OK), err.getvalue()
         assert all(f"`{key}`" in err.getvalue() for key in invalid)
 
+    def test_measured_c_s_overflow_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # a driver clock that advances 10 s per reading: each warm-up batch
+        # measures 50 s, and 50 s * lambda / b overflows
+        ticks = iter(range(0, 10**6, 10))
+        monkeypatch.setattr(stream_sim, "time",
+                            types.SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+        path = tmp_path / "run.ini"
+        write_minimal_config(path, **{"lambda": "1.7e308", "warmup_batches": "2"})
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(path), "--out", str(out)]
+                    + FAST_OVERRIDES[:-2])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "runtime error" in err and "lambda" in err and "batch time of 50 s" in err
+        assert list(out.iterdir()) == []
+
     def test_seed_flag_overrides(self, tmp_path):
         path = tmp_path / "run.ini"
         write_minimal_config(path)
@@ -329,6 +347,22 @@ class TestBenchCommand:
         assert lines[0] == "selector,median_latency_s,samples_per_sec"
         assert len(lines) == 3
         assert capsys.readouterr().out.startswith("selector,")
+
+    def test_none_times_the_identity_selection(self, capsys):
+        code = main(["bench", "--selectors", "streamfp,random,kcenter,none",
+                     "--batch-size", "16", "--dim", "4", "--fingerprints", "2",
+                     "--repeats", "1"])
+        assert code == EXIT_OK
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert [row.split(",")[0] for row in rows] == ["streamfp", "random", "kcenter", "none"]
+
+    def test_unknown_selector_raises_before_timing(self, monkeypatch):
+        def no_timing(*args):
+            raise AssertionError("a selector was timed")
+
+        monkeypatch.setattr(cli, "select", no_timing)
+        with pytest.raises(ValueError, match="quantum"):
+            cli.bench_selectors(["streamfp", "quantum"], 8, 4, 2, 1)
 
     def test_negative_seed_exits_2(self, capsys):
         assert main(["bench", "--seed", "-1"]) == EXIT_CONFIG

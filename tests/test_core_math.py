@@ -5,15 +5,14 @@ import numpy.testing as npt
 import pytest
 from scipy.special import ndtr
 
+from oracles import gelu_grad, softmax
 from streamfp.core_math import (
     NORM_EPS,
     angular_cost,
     batch_similarity,
     gelu,
-    gelu_grad,
     gelu_with_grad,
     l2_normalize,
-    softmax,
 )
 
 

@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 from scipy.special import ndtr
 
-from streamfp.core_math import gelu, gelu_grad, softmax
+from oracles import gelu_grad, softmax
+from streamfp.core_math import gelu
 from streamfp.fingerprints import (
     AttunementParams,
     FingerprintPool,

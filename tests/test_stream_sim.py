@@ -49,6 +49,11 @@ class TestRelativeComplexity:
     def test_below_one_when_fast(self):
         assert relative_complexity(1e-6, 1000.0, 2000, 20) < 1.0
 
+    def test_overflow_raises(self):
+        # a finite lambda and batch time whose C_S is inf would skip every batch
+        with pytest.raises(ValueError, match="not finite.*lambda"):
+            relative_complexity(2.0, 1.7e308, 1, 1)
+
     def test_positive_inputs_required(self):
         with pytest.raises(ValueError):
             relative_complexity(0.0, 1000.0, 2000, 20)
@@ -257,6 +262,22 @@ class TestStreamConfigValidate:
         errors = cfg.validate()
         assert len(errors) == 1 and "attunement cache" in errors[0]
 
+    def test_memory_error_names_the_keys_of_the_largest_term(self, monkeypatch):
+        # D = 16 is small; the attunement cache R*N*(L_p+1)*D is what does
+        # not fit, so the error names its keys and not `dim` alone
+        cfg = StreamConfig(lam=6028, seed=1, num_experts=64, n_fingerprints=400000,
+                           fingerprint_length=2, dim=16)
+        monkeypatch.setattr(stream_sim, "_physical_memory_bytes", lambda: 8 * 2**30)
+        errors = cfg.validate()
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            "keys `num_experts`, `n_fingerprints`, `fingerprint_length`, `dim`: ")
+        assert "largest term is the attunement cache" in errors[0]
+        # the largest term of a wide model is its MLP bank
+        cfg = StreamConfig(num_experts=2, dim=40000)
+        errors = cfg.validate()
+        assert len(errors) == 1 and errors[0].startswith("keys `num_experts`, `dim`: ")
+
     def test_run_experiment_rejects_invalid(self):
         with pytest.raises(ValueError, match="sigma"):
             run_experiment(tiny_config(sigma=0.0))
@@ -352,6 +373,56 @@ class TestWarmup:
         monkeypatch.setattr(PrototypeModel, "init_random", counting)
         run_experiment(StreamConfig(**GOLDEN_UNPINNED[0][0]))
         assert len(calls) == 1
+
+
+# run outputs of every selector x buffer policy at skip_batches, and one
+# lower_ratio run, recorded before the driver shared its batch plan and
+# selector dispatch. 10 batches over 3 tasks: the last task takes the
+# remainder (batches 6-9), and seed 7 retains batches 0, 3, 4, 6 and 9.
+GOLDEN_BASE = dict(dataset_size=100, batch_size=10, tasks=3, n_classes=6, dim=6, tokens=2,
+                   buffer_size=20, eval_size=40, pinned_batch_time=1e-9, c_s_override=2.0,
+                   learning_rate=0.3, seed=7)
+GOLDEN_COMBINATIONS = [
+    ("streamfp", "streamfp", [[1.0], [1.0, 0.85], [1.0, 0.8, 0.7]], 0.8333333333333334, 0.024999999999999967, 5),
+    ("streamfp", "reservoir", [[1.0], [1.0, 0.85], [1.0, 0.95, 0.75]], 0.9, -0.04999999999999999, 5),
+    ("streamfp", "keep_first", [[1.0], [1.0, 0.85], [1.0, 0.875, 0.525]], 0.7999999999999999, -0.012500000000000011, 5),
+    ("streamfp", "none", [[1.0], [0.95, 1.0], [0.5, 0.975, 1.0]], 0.8250000000000001, 0.2625, 5),
+    ("random", "streamfp", [[1.0], [1.0, 0.825], [1.0, 0.775, 0.5]], 0.7583333333333333, 0.024999999999999967, 5),
+    ("random", "reservoir", [[1.0], [1.0, 0.825], [1.0, 0.9, 0.55]], 0.8166666666666668, -0.03750000000000003, 5),
+    ("random", "keep_first", [[1.0], [1.0, 0.825], [1.0, 0.775, 0.5]], 0.7583333333333333, 0.024999999999999967, 5),
+    ("random", "none", [[1.0], [0.95, 1.0], [0.575, 0.8, 1.0]], 0.7916666666666666, 0.3125, 5),
+    ("kcenter", "streamfp", [[1.0], [1.0, 0.85], [1.0, 0.95, 0.55]], 0.8333333333333334, -0.04999999999999999, 5),
+    ("kcenter", "reservoir", [[1.0], [1.0, 0.85], [1.0, 0.975, 0.525]], 0.8333333333333334, -0.0625, 5),
+    ("kcenter", "keep_first", [[1.0], [1.0, 0.85], [1.0, 0.9, 0.425]], 0.7749999999999999, -0.025000000000000022, 5),
+    ("kcenter", "none", [[1.0], [0.8, 1.0], [0.325, 0.95, 1.0]], 0.7583333333333333, 0.36250000000000004, 5),
+    ("none", "streamfp", [[1.0], [1.0, 0.875], [1.0, 1.0, 0.2]], 0.7333333333333334, -0.0625, 5),
+    ("none", "reservoir", [[1.0], [1.0, 0.875], [1.0, 1.0, 0.2]], 0.7333333333333334, -0.0625, 5),
+    ("none", "keep_first", [[1.0], [1.0, 0.875], [1.0, 0.975, 0.1]], 0.6916666666666668, -0.04999999999999999, 5),
+    ("none", "none", [[1.0], [0.925, 1.0], [0.45, 0.9, 1.0]], 0.7833333333333333, 0.325, 5),
+]
+GOLDEN_LOWER_RATIO = ([[1.0], [1.0, 0.65], [1.0, 0.55, 0.8]], 0.7833333333333333, 0.04999999999999999, 10)
+
+
+class TestSelectorBufferGolden:
+    @pytest.mark.parametrize(
+        "selector, policy, acc_rows, avg_accuracy, avg_forgetting, retained",
+        GOLDEN_COMBINATIONS, ids=[f"{s}-{p}" for s, p, *_ in GOLDEN_COMBINATIONS])
+    def test_outputs_match_recorded(self, selector, policy, acc_rows, avg_accuracy,
+                                    avg_forgetting, retained):
+        report = run_experiment(
+            StreamConfig(selector=selector, buffer_policy=policy, **GOLDEN_BASE))
+        assert report.acc_rows == acc_rows
+        assert report.avg_accuracy == avg_accuracy
+        assert report.avg_forgetting == avg_forgetting
+        assert (report.retained_batches, report.total_batches) == (retained, 10)
+
+    def test_lower_ratio_matches_recorded(self):
+        report = run_experiment(StreamConfig(skip_mode="lower_ratio", **GOLDEN_BASE))
+        acc_rows, avg_accuracy, avg_forgetting, retained = GOLDEN_LOWER_RATIO
+        assert report.acc_rows == acc_rows
+        assert report.avg_accuracy == avg_accuracy
+        assert report.avg_forgetting == avg_forgetting
+        assert (report.retained_batches, report.total_batches) == (retained, 10)
 
 
 class TestMetricsCsv:
