@@ -29,48 +29,69 @@ class BufferItem:
 class RehearsalBuffer:
     """Capacity-bounded store of past samples, written only by the policies
     below. Resident i is row i of ``sample_ids``, ``labels``, ``similarity``
-    (its score when stored; 0 if unscored) and the token embeddings.
+    (its score when stored; 0 if unscored) and the token embeddings; every
+    reader returns a read-only view of the store.
 
-    The writers only flag the rows they wrote; ``unit_token_sums`` brings
-    those rows of its cache up to date when it is asked, so a policy that
-    never scores residents never pays for the cache."""
+    The store keeps one array per column, of which the first ``len(self)``
+    rows are live; it grows all of them together, geometrically, so a full
+    fill copies each resident O(1) times. The writers only flag the rows
+    they wrote; ``unit_token_sums`` brings those rows of its cache up to
+    date when it is asked, so a policy that never scores residents never
+    computes the cache."""
+
+    # the per-resident arrays, grown together
+    _COLUMNS = ("_embeddings", "_sums", "_ids", "_labels", "_similarity", "_stale")
 
     def __init__(self, capacity):
         if capacity < 1:
             raise ValueError("buffer capacity must be >= 1")
         self.capacity = int(capacity)
         self.n_seen = 0
-        self.sample_ids = np.zeros(0, dtype=np.int64)
-        self.labels = np.zeros(0, dtype=np.int64)
-        self.similarity = np.zeros(0)
+        self._len = 0
         self._embeddings = np.zeros((0, 0, 0))
         self._sums = np.zeros((0, 0))  # unit_token_sums of the rows not stale
+        self._ids = np.zeros(0, dtype=np.int64)
+        self._labels = np.zeros(0, dtype=np.int64)
+        self._similarity = np.zeros(0)
         self._stale = np.zeros(0, dtype=bool)  # rows written since the last sums
 
     def __len__(self):
-        return self.sample_ids.size
+        return self._len
+
+    def _live(self, column):
+        view = column[:self._len]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def sample_ids(self):
+        return self._live(self._ids)
+
+    @property
+    def labels(self):
+        return self._live(self._labels)
+
+    @property
+    def similarity(self):
+        return self._live(self._similarity)
 
     def embeddings(self):
-        """The stored (len, L, D) token embeddings; callers only read them."""
-        return self._embeddings
+        """The stored (len, L, D) token embeddings."""
+        return self._live(self._embeddings)
 
     def unit_token_sums(self):
         """The (len, D) ``core_math.unit_token_sums`` of the residents, equal
-        row for row to recomputing them; callers only read them."""
-        stale = np.flatnonzero(self._stale)
+        row for row to recomputing them."""
+        stale = np.flatnonzero(self._stale[:self._len])
         if stale.size:
-            grow = len(self) - len(self._sums)
-            if grow:  # rows appended since the last call, all of them stale
-                d = self._embeddings.shape[2]
-                self._sums = np.concatenate([self._sums.reshape(-1, d), np.empty((grow, d))])
             self._sums[stale] = unit_token_sums(self._embeddings[stale])
             self._stale[stale] = False
-        return self._sums
+        return self._live(self._sums)
 
     @property
     def items(self):
         """A snapshot of the residents as records, in slot order."""
-        emb = self._embeddings.copy()
+        emb = self._embeddings[:self._len].copy()
         rows = zip(self.sample_ids.tolist(), self.labels.tolist(), self.similarity.tolist())
         return tuple(BufferItem(i, emb[r], label, s) for r, (i, label, s) in enumerate(rows))
 
@@ -79,28 +100,44 @@ class RehearsalBuffer:
         if not len(self) or size < 1:
             return None
         idx = rng.choice(len(self), size=min(size, len(self)), replace=False)
-        return EmbeddingBatch(self._embeddings[idx], self.labels[idx], self.sample_ids[idx])
+        return EmbeddingBatch(self._embeddings[idx], self._labels[idx], self._ids[idx])
 
     def _append(self, batch, similarity):
-        """Store the leading batch rows that fit and return how many did;
-        growing with the fill keeps peak memory below a preallocated store."""
+        """Store the leading batch rows that fit in the rows after the
+        residents and return how many did. Where they do not fit, every
+        column moves to ``min(capacity, max(needed, 2 * rows))`` rows first."""
         n = min(self.capacity - len(self), len(batch))
         if n == 0:
             return 0
-        emb = batch.embeddings[:n]
-        self._embeddings = np.concatenate([self._embeddings, emb]) if len(self) else emb.copy()
-        self.sample_ids = np.concatenate([self.sample_ids, batch.sample_ids[:n]])
-        self.labels = np.concatenate([self.labels, batch.labels[:n]])
-        self.similarity = np.concatenate([self.similarity, similarity[:n]])
-        self._stale = np.concatenate([self._stale, np.ones(n, dtype=bool)])
+        start, end = self._len, self._len + n
+        if end > self._ids.size:
+            self._grow(min(self.capacity, max(end, 2 * self._ids.size)), batch.embeddings)
+        self._embeddings[start:end] = batch.embeddings[:n]
+        self._ids[start:end] = batch.sample_ids[:n]
+        self._labels[start:end] = batch.labels[:n]
+        self._similarity[start:end] = similarity[:n]
+        self._stale[start:end] = True
+        self._len = end
         return n
+
+    def _grow(self, rows, emb):
+        """Move every column into a new array of ``rows`` rows; the first
+        offer ``emb`` sets the embeddings' (L, D) and dtype."""
+        if not self._ids.size:
+            self._embeddings = np.empty((0, *emb.shape[1:]), dtype=emb.dtype)
+            self._sums = np.empty((0, emb.shape[2]))
+        for name in self._COLUMNS:
+            old = getattr(self, name)
+            new = np.empty((rows, *old.shape[1:]), dtype=old.dtype)
+            new[:self._len] = old[:self._len]
+            setattr(self, name, new)
 
     def _overwrite(self, slots, batch, rows, similarity):
         """Replace the residents in ``slots`` by the batch rows ``rows``."""
         self._embeddings[slots] = batch.embeddings[rows]
-        self.sample_ids[slots] = batch.sample_ids[rows]
-        self.labels[slots] = batch.labels[rows]
-        self.similarity[slots] = similarity[rows]
+        self._ids[slots] = batch.sample_ids[rows]
+        self._labels[slots] = batch.labels[rows]
+        self._similarity[slots] = similarity[rows]
         self._stale[slots] = True
 
 

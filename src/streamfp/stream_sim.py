@@ -156,6 +156,11 @@ class StreamConfig:
                 ("eval sets", ("tasks", "eval_size", "tokens", "dim"),
                  self.tasks * self.eval_size * row),
                 ("buffer", ("buffer_size", "tokens", "dim"), self.buffer_size * row),
+                ("buffer unit-sum cache m*D", ("buffer_size", "dim"), self.buffer_size * d),
+                # the stream batches the warm-up embeds and holds for the run
+                ("held warm-up batches", ("warmup_batches", "batch_size", "tokens", "dim"),
+                 0 if self.pinned_batch_time is not None
+                 else min(self.warmup_batches, self.num_batches) * self.batch_size * row),
                 ("batch", ("batch_size", "tokens", "dim"), self.batch_size * row),
                 ("pool N*L_p*D", ("n_fingerprints", "fingerprint_length", "dim"), n * lp * d),
                 # the (R, N, L_p, D) GELU slope and the (R, N, D) expert sums
@@ -173,6 +178,11 @@ class StreamConfig:
                     f"{have / 2**30:.3g} GiB of physical memory; its largest term is the "
                     f"{name}, {8 * count / 2**30:.3g} GiB")
         return errors
+
+    @property
+    def num_batches(self):
+        """Batches in the stream, at least one per task."""
+        return max(self.dataset_size // self.batch_size, self.tasks)
 
 
 def _physical_memory_bytes():
@@ -401,7 +411,7 @@ def run_experiment(config):
         grad_steps=config.grad_steps,
     )
 
-    num_batches = max(config.dataset_size // config.batch_size, config.tasks)
+    num_batches = config.num_batches
     batches_per_task = max(1, num_batches // config.tasks)
     # the task of each batch; the last task takes the remainder
     task_of = np.minimum(np.arange(num_batches) // batches_per_task, config.tasks - 1)
@@ -445,16 +455,22 @@ def run_experiment(config):
         timings["train"] += t2 - t1
         timings["buffer"] += t3 - t2
 
+    # the stream batches the warm-up embedded, by index, for the main loop
+    held = {}
+
     def warmup_batch_time():
         """Median time of a batch on a throwaway copy of the run's model,
         which shares its frozen MLP bank, and a throwaway buffer; both are
-        freed on return."""
+        freed on return. Each stream batch it embeds stays in ``held``."""
         warm_model = model.trainable_copy()
         warm_buffer = RehearsalBuffer(config.buffer_size)
         warm_timings = {"selection": 0.0, "train": 0.0, "buffer": 0.0}
         per_batch = []
         for w in range(config.warmup_batches):
-            batch = make_batch(w % num_batches)
+            batch_idx = w % num_batches
+            if batch_idx not in held:
+                held[batch_idx] = make_batch(batch_idx)
+            batch = held[batch_idx]
             tw = time.perf_counter()
             run_batch(warm_model, warm_buffer, batch, warm_timings, config.sigma)
             per_batch.append(time.perf_counter() - tw)
@@ -467,7 +483,9 @@ def run_experiment(config):
     # size max(1, floor(sigma * b)), the retrieval mini-batch size, the
     # compute_update_count draws, and one uniform per weighted draw (rank
     # weights are all > 0 for n >= 2). So the warm-up copy's values reach
-    # no output.
+    # no output. The batches it embedded reach the main loop unchanged: a
+    # batch is a pure function of (seed, task, index), and nothing writes
+    # into one, so the run takes the held copy instead of embedding it again.
     if config.pinned_batch_time is not None:
         batch_time = config.pinned_batch_time
     else:
@@ -479,6 +497,15 @@ def run_experiment(config):
         c_s = relative_complexity(
             batch_time, config.lam, config.dataset_size, config.batch_size
         )
+    if config.skip_mode == "lower_ratio":
+        retained = np.arange(num_batches)
+        run_sigma = max(config.sigma / max(1.0, c_s), 1e-9)
+    else:
+        retained = skip_schedule(num_batches, c_s, skip_rng)
+        run_sigma = config.sigma
+    # free the held batches that the skip schedule drops, before the eval
+    # sets are made
+    held = {idx: held[idx] for idx in retained.tolist() if idx in held}
     buffer = RehearsalBuffer(config.buffer_size)
 
     # evaluation uses clean, balanced samples from the same class geometry,
@@ -492,19 +519,13 @@ def run_experiment(config):
         for t in range(config.tasks)
     ]
 
-    if config.skip_mode == "lower_ratio":
-        retained = np.arange(num_batches)
-        run_sigma = max(config.sigma / max(1.0, c_s), 1e-9)
-    else:
-        retained = skip_schedule(num_batches, c_s, skip_rng)
-        run_sigma = config.sigma
-
     timings = {"selection": 0.0, "train": 0.0, "buffer": 0.0, "eval": 0.0}
     acc_rows = []
     for task in range(config.tasks):
         # retained is sorted, so each task's batches run in stream order
-        for batch_idx in retained[task_of[retained] == task]:
-            run_batch(model, buffer, make_batch(batch_idx), timings, run_sigma)
+        for batch_idx in retained[task_of[retained] == task].tolist():
+            batch = held.pop(batch_idx) if batch_idx in held else make_batch(batch_idx)
+            run_batch(model, buffer, batch, timings, run_sigma)
         te = time.perf_counter()
         # one attunement serves every eval set of this checkpoint
         p_agg = model.attuned_pool()

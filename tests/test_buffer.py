@@ -1,6 +1,7 @@
 """Tests for the Retain-Drop rehearsal buffer and rank sampling."""
 
 import logging
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -18,7 +19,7 @@ from streamfp.buffer import (
     weighted_sample_without_replacement,
 )
 from streamfp import buffer as buffer_module
-from streamfp.core_math import batch_similarity, l2_normalize, sum_similarity
+from streamfp.core_math import batch_similarity, l2_normalize, sum_similarity, unit_token_sums
 from streamfp.learner import EmbeddingBatch
 from streamfp.seeding import substream, substream_indexed
 
@@ -441,6 +442,127 @@ class TestRehearsalBuffer:
             [(5, 0, 0.25), (6, 0, -0.5)]
         npt.assert_array_equal(before[0].embedding, make_items([5])[0].embedding)
         npt.assert_array_equal(before[1].embedding, make_items([5, 6])[1].embedding)
+
+
+def offer_stream(sizes, tokens=2, dim=3, seed=0):
+    """EmbeddingBatches of the given sizes with consecutive ids."""
+    rng = np.random.default_rng(seed)
+    start = 0
+    for b in sizes:
+        yield EmbeddingBatch(rng.standard_normal((b, tokens, dim)),
+                             rng.integers(0, 5, size=b), np.arange(start, start + b))
+        start += b
+
+
+def offer(policy, buf, batch, rng):
+    """Offer ``batch`` to ``buf`` under the named policy."""
+    if policy == "streamfp":
+        s_buf = rng.uniform(-1, 1, size=len(buf))
+        update_buffer(buf, batch, rng.uniform(-1, 1, size=len(batch)), s_buf, rng)
+    elif policy == "reservoir":
+        reservoir_update(buf, batch, rng)
+    else:
+        keep_first_update(buf, batch)
+
+
+class TestStoreGrowth:
+    """The store grows geometrically and in place; its readers must not
+    tell: after every write they equal the residents rebuilt from scratch."""
+
+    CASES = [
+        (4096, [256] * 18),  # a replay-sized fill, then two full offers
+        (102, [20] * 8),  # a fill that ends part-way through a batch
+        (5, [8, 3, 6]),  # a first offer larger than the capacity
+        (1, [1, 2, 1]),  # capacity 1
+    ]
+
+    @staticmethod
+    def assert_holds(buf, rows, items):
+        """``buf`` holds the (id, label, similarity, embedding) rows, in order."""
+        ids, labels, sims, embs = zip(*rows)
+        emb = np.stack(embs)
+        npt.assert_array_equal(buf.sample_ids, ids)
+        npt.assert_array_equal(buf.labels, labels)
+        npt.assert_array_equal(buf.similarity, sims)
+        npt.assert_array_equal(buf.embeddings(), emb)
+        npt.assert_array_equal(buf.unit_token_sums(), unit_token_sums(emb))
+        if items:
+            records = buf.items
+            assert [(it.sample_id, it.label, it.similarity) for it in records] == \
+                list(zip(ids, labels, sims))
+            npt.assert_array_equal(np.stack([it.embedding for it in records]), emb)
+
+    @pytest.mark.parametrize("policy", ["streamfp", "reservoir", "keep_first"])
+    @pytest.mark.parametrize("capacity, sizes", CASES, ids=["m4096-b256", "m102-b20",
+                                                            "first-offer-over-m", "m1"])
+    def test_readers_match_rebuilt_residents_after_every_write(
+            self, monkeypatch, policy, capacity, sizes):
+        rows = []  # the residents as (id, label, similarity, embedding) rows
+        append, overwrite = RehearsalBuffer._append, RehearsalBuffer._overwrite
+        # items builds a record per resident; on the large store check it
+        # after each offer rather than after each of the reservoir's writes
+        check_items = capacity < 1000
+
+        def checked_append(buf, batch, similarity):
+            n = append(buf, batch, similarity)
+            rows.extend(zip(batch.sample_ids[:n].tolist(), batch.labels[:n].tolist(),
+                            similarity[:n].tolist(), batch.embeddings[:n].copy()))
+            self.assert_holds(buf, rows, check_items)
+            return n
+
+        def checked_overwrite(buf, slots, batch, batch_rows, similarity):
+            overwrite(buf, slots, batch, batch_rows, similarity)
+            for slot, row in zip(np.atleast_1d(slots).tolist(), np.atleast_1d(batch_rows).tolist()):
+                rows[slot] = (int(batch.sample_ids[row]), int(batch.labels[row]),
+                              float(similarity[row]), batch.embeddings[row].copy())
+            self.assert_holds(buf, rows, check_items)
+
+        monkeypatch.setattr(RehearsalBuffer, "_append", checked_append)
+        monkeypatch.setattr(RehearsalBuffer, "_overwrite", checked_overwrite)
+        rng = substream(capacity, f"growth-{policy}")
+        buf = RehearsalBuffer(capacity)
+        for batch in offer_stream(sizes):
+            offer(policy, buf, batch, rng)
+            self.assert_holds(buf, rows, True)
+        assert len(buf) == capacity
+
+    @pytest.mark.parametrize("capacity, b", [(4096, 256), (102, 20), (5, 8), (1, 1), (4096, 3)])
+    def test_full_fill_allocates_logarithmically_often(self, capacity, b):
+        # each growth moves the embeddings into a new array; count them
+        buf = RehearsalBuffer(capacity)
+        stores = []
+        for batch in offer_stream([b] * math.ceil(capacity / b)):
+            keep_first_update(buf, batch)
+            store = buf.embeddings().base
+            if not any(store is seen for seen in stores):
+                stores.append(store)
+        assert len(buf) == capacity
+        assert len(stores) <= max(0, math.ceil(math.log2(capacity / b))) + 1
+        assert stores[-1].shape[0] == capacity
+
+
+class TestReadOnlyViews:
+    READERS = {
+        "sample_ids": lambda buf: buf.sample_ids,
+        "labels": lambda buf: buf.labels,
+        "similarity": lambda buf: buf.similarity,
+        "embeddings": lambda buf: buf.embeddings(),
+        "unit_token_sums": lambda buf: buf.unit_token_sums(),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_write_raises_and_leaves_residents(self, reader):
+        buf = RehearsalBuffer(8)
+        batch = next(offer_stream([6]))
+        update_buffer(buf, batch, np.linspace(-1, 1, 6), np.zeros(0), substream(1, "ro"))
+        before = [np.array(read(buf)) for read in self.READERS.values()]
+        view = self.READERS[reader](buf)
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            view += 1
+        for read, was in zip(self.READERS.values(), before):
+            npt.assert_array_equal(read(buf), was)
 
 
 class TestGoldenDecisions:

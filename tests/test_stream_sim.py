@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from streamfp import stream_sim
-from streamfp.learner import PrototypeModel
+from streamfp.learner import PrototypeModel, SyntheticEmbedder
 from streamfp.stream_sim import (
     CSV_COLUMNS,
     StreamConfig,
@@ -236,12 +236,14 @@ class TestStreamConfigValidate:
 
     def test_memory_estimate_against_physical_memory(self, monkeypatch):
         # paper shape: 2*R*D^2 bank, 3*400 eval samples + 512 buffered + 64
-        # in the batch of L*D floats each, an (N, L_p, D) pool and the
-        # R*N*(L_p+1)*D attunement cache
+        # in the batch + 31*64 in the 31 held warm-up batches (2000 // 64
+        # batches, fewer than the 50 warm-up batches) of L*D floats each,
+        # the buffer's 512 unit-token sums of D floats, an (N, L_p, D) pool
+        # and the R*N*(L_p+1)*D attunement cache
         cfg = StreamConfig(dim=768, tokens=4, n_fingerprints=100, fingerprint_length=4,
                            batch_size=64, buffer_size=512, tasks=3, eval_size=400)
-        need = 8 * (2 * 3 * 768**2 + (3 * 400 + 512 + 64) * 4 * 768 + 100 * 4 * 768
-                    + 3 * 100 * 5 * 768)
+        need = 8 * (2 * 3 * 768**2 + (3 * 400 + 512 + 64 + 31 * 64) * 4 * 768
+                    + 512 * 768 + 100 * 4 * 768 + 3 * 100 * 5 * 768)
         monkeypatch.setattr(stream_sim, "_physical_memory_bytes", lambda: need)
         assert cfg.validate() == []
         monkeypatch.setattr(stream_sim, "_physical_memory_bytes", lambda: need - 1)
@@ -250,6 +252,19 @@ class TestStreamConfigValidate:
         # where the platform does not tell, nothing is rejected
         monkeypatch.setattr(stream_sim, "_physical_memory_bytes", lambda: None)
         assert StreamConfig(dim=10**9).validate() == []
+
+    def test_memory_estimate_counts_held_warmup_batches(self, monkeypatch):
+        # the warm-up holds min(warmup_batches, batches) stream batches; a
+        # pinned batch time runs no warm-up, so it holds none
+        fields = dict(dim=256, tokens=8, batch_size=1000, dataset_size=40000,
+                      warmup_batches=30, buffer_size=1, eval_size=1)
+        held = 8 * 30 * 1000 * 8 * 256
+        monkeypatch.setattr(stream_sim, "_physical_memory_bytes", lambda: held)
+        errors = StreamConfig(**fields).validate()
+        assert len(errors) == 1 and "held warm-up batches" in errors[0]
+        assert StreamConfig(pinned_batch_time=1e-9, **fields).validate() == []
+        # fewer batches than warm-up batches: each is held once
+        assert StreamConfig(**{**fields, "dataset_size": 10000}).validate() == []
 
     def test_memory_estimate_counts_attunement_cache(self, monkeypatch):
         # many experts over many short fingerprints: the (R, N, L_p, D) GELU
@@ -373,6 +388,48 @@ class TestWarmup:
         monkeypatch.setattr(PrototypeModel, "init_random", counting)
         run_experiment(StreamConfig(**GOLDEN_UNPINNED[0][0]))
         assert len(calls) == 1
+
+
+class TestWarmupBatchReuse:
+    """The main loop runs the stream batches that the warm-up embedded, so
+    an un-pinned run embeds each stream batch once."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        embed = SyntheticEmbedder.embed
+
+        def spying(self, task, sample_indices):
+            calls.append((task, int(np.asarray(sample_indices)[0])))
+            return embed(self, task, sample_indices)
+
+        monkeypatch.setattr(SyntheticEmbedder, "embed", spying)
+        return calls
+
+    def test_every_batch_embedded_once_at_c_s_1(self, monkeypatch):
+        # 20 stream batches, the first 6 embedded by the warm-up, plus one
+        # eval set per task
+        calls = self.spy(monkeypatch)
+        cfg = StreamConfig(**{**GOLDEN_UNPINNED[0][0], "c_s_override": 1.0})
+        report = run_experiment(cfg)
+        assert report.retained_batches == report.total_batches == 20
+        assert len(calls) == 20 + cfg.tasks
+        assert len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("warmup_batches", [6, 45])
+    def test_no_batch_embedded_twice(self, monkeypatch, warmup_batches):
+        # at C_S = 2 the warm-up embeds batches the run skips; with more
+        # warm-up batches than stream batches it cycles over all 20
+        calls = self.spy(monkeypatch)
+        cfg = StreamConfig(**{**GOLDEN_UNPINNED[0][0], "warmup_batches": warmup_batches})
+        report = run_experiment(cfg)
+        assert report.retained_batches == 10
+        # 10 batches per task; batch i of a task starts at sample 10 * i
+        embedded = [task * 10 + start // 10 for task, start in calls
+                    if start < cfg.dataset_size]
+        retained = skip_schedule(20, 2.0, substream(cfg.seed, "skip")).tolist()
+        assert sorted(embedded) == sorted(set(range(min(warmup_batches, 20))) | set(retained))
+        assert len(calls) == len(embedded) + cfg.tasks
 
 
 # run outputs of every selector x buffer policy at skip_batches, and one
