@@ -8,6 +8,7 @@ The reservoir and keep-first baselines differ only in that exchange.
 """
 
 import logging
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,9 @@ from .core_math import unit_token_sums
 from .learner import EmbeddingBatch
 
 logger = logging.getLogger(__name__)
+
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass
@@ -202,11 +206,38 @@ def weighted_sample_without_replacement(weights, k, rng):
 
     Reproduces ``rng.choice(pool.size, p=w[pool] / w[pool].sum())`` over the
     shrinking pool draw for draw, final generator state included: each
-    weighted draw builds the CDF as ``Generator.choice`` does and consumes
-    one ``rng.random()``, without its validation of ``p``. The remaining
-    weights and indices are compacted in place after each draw. A draw
-    still costs O(n): prefix sums kept across a removal would differ from a
-    fresh cumsum in floating point, and so would pick differently.
+    weighted draw consumes one ``rng.random()`` and picks what the CDF that
+    ``Generator.choice`` builds would pick, without its validation of ``p``.
+
+    Most draws are decided by a running prefix sum: ``prefix = cumsum(w)``
+    once per call, then ``prefix[i:] -= w[i]`` after drawing ``i``, so a draw
+    costs one binary search and one subtraction. The uniform ``u`` is
+    scaled to ``target = u * prefix[-1]`` and searched for, and the index
+    found is accepted when ``target`` lies more than ``margin = 8 n eps T0``
+    from both of its prefix bounds, ``T0`` being the first total. Any other
+    draw builds the exact CDF over the remaining weights (``_exact_pick``).
+
+    Why an accepted draw is exact. Let ``r = eps / 2 = 2**-53`` be the unit
+    roundoff, ``P_j`` the exact sum of the remaining weights up to index
+    ``j``, ``P`` their total and ``W <= T0 (1 + n r)`` the first exact total.
+    To first order in ``r``:
+      * each initial ``prefix[j]`` is within ``(n - 1) r W`` of its exact
+        value, and each of the at most ``k - 1`` subtractions adds ``r W``;
+      * ``target`` is within that drift plus ``r W`` of ``u P``;
+      * the exact CDF's entry for ``j`` (divide by the total, cumsum, divide
+        by the last entry) is within ``(2m + 1) r`` of ``P_j / P`` over the
+        ``m`` remaining weights, so within ``(2m + 1) r W`` once scaled by
+        ``P <= W``.
+    Together that is less than ``(2n + 2k + 2m) r W <= 6 n r W``, and
+    ``margin`` is ``16 n r T0``. So an accepted ``i`` has
+    ``P_{i-1} < u P < P_i`` with room for every rounding, and the exact CDF
+    puts ``u`` between the same two entries. The same room makes
+    ``P_i - P_{i-1} = w[i]`` positive, so a zero weight or a drawn slot is
+    never accepted. A product that underflows errs by up to ``2**-1075``
+    more, ``r`` times the smallest normal number, which a ``margin`` at
+    least that number absorbs; a smaller ``margin`` sends every draw to the
+    exact CDF, and so does a cumsum that overflows, whose ``margin`` is
+    infinite.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
@@ -217,34 +248,56 @@ def weighted_sample_without_replacement(weights, k, rng):
         raise ValueError("weights must be non-negative")
     with np.errstate(over="ignore"):
         finite_total = np.isfinite(w.sum())
+        prefix = np.cumsum(w)  # may overflow where the pairwise sum does not
     if not finite_total:
         raise ValueError("weights must have a finite sum")
     n = w.size
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    live = w.copy()  # live[:m] are the weights of pool[:m], in ascending index order
-    pool = np.arange(n)
+    margin = 8 * n * _EPS * prefix.item(-1)
+    if margin < _TINY:
+        margin = np.inf
+    removed = np.zeros(n, dtype=bool)
+    positive = int(np.count_nonzero(w))  # weighted picks are always positive
     chosen = []
-    warned = False
-    for m in range(n, n - k, -1):
-        total = live[:m].sum()
-        if total > 0:
-            cdf = (live[:m] / total).cumsum()
-            cdf /= cdf[-1]
-            pos = int(cdf.searchsorted(rng.random(), side="right"))
-        else:
-            if not warned:
-                logger.warning(
-                    "weighted sampling ran out of positive weights; "
-                    "falling back to uniform for the remaining %d draw(s)",
-                    k - len(chosen),
-                )
-                warned = True
-            pos = int(rng.integers(0, m))
-        chosen.append(int(pool[pos]))
-        live[pos:m - 1] = live[pos + 1:m]
-        pool[pos:m - 1] = pool[pos + 1:m]
+    while len(chosen) < k and positive:
+        u = rng.random()
+        target = u * prefix.item(-1)
+        i = int(prefix.searchsorted(target, side="right"))
+        if not (i < n and prefix.item(i) - target > margin
+                and (i == 0 or target - prefix.item(i - 1) > margin)):
+            i = _exact_pick(w, removed, u)
+        chosen.append(i)
+        removed[i] = True
+        prefix[i:] -= w.item(i)
+        positive -= 1
+    if len(chosen) < k:
+        logger.warning(
+            "weighted sampling ran out of positive weights; "
+            "falling back to uniform for the remaining %d draw(s)",
+            k - len(chosen),
+        )
+        pool = np.flatnonzero(~removed)  # the remaining indices, ascending
+        while len(chosen) < k:
+            pos = int(rng.integers(0, pool.size))
+            chosen.append(int(pool[pos]))
+            pool = np.delete(pool, pos)
     return chosen
+
+
+def _exact_pick(w, removed, u):
+    """The index that ``Generator.choice`` draws with the uniform ``u`` from
+    the weights not ``removed``, taken in index order: their CDF built as it
+    builds it, searched for ``u``."""
+    pool = np.flatnonzero(~removed)
+    live = w[pool]
+    cdf = (live / live.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(pool[cdf.searchsorted(u, side="right")])
 
 
 def update_buffer(buffer, batch, s_batch, s_buffer, rng):
@@ -260,6 +313,10 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng):
 
     Returns:
         The updated buffer (same object).
+
+    Raises:
+        ValueError: ``s_batch`` or ``s_buffer`` has the wrong length or a
+            non-finite entry; raised before any write or draw.
     """
     batch = _as_batch(batch)
     s_batch = np.asarray(s_batch, dtype=np.float64)
@@ -269,6 +326,9 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng):
     s_resident = np.asarray(s_buffer, dtype=np.float64).reshape(-1)
     if s_resident.shape != (len(buffer),):
         raise ValueError("s_buffer length must match the buffer contents")
+    for name, s in (("s_batch", s_batch), ("s_buffer", s_resident)):
+        if not np.all(np.isfinite(s)):
+            raise ValueError(f"{name} must be finite")
     n_seen_before = buffer.n_seen
 
     fill = buffer._append(batch, s_batch)

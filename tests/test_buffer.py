@@ -153,6 +153,20 @@ class TestWeightedSampling:
         with pytest.raises(ValueError):
             weighted_sample_without_replacement(np.array([0.5]), 2, rng)
 
+    @pytest.mark.parametrize("k", [2.0, "2", None, np.float64(2)])
+    def test_non_integer_k_raises_before_drawing(self, k):
+        rng = substream(4, "sample")
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="integer"):
+            weighted_sample_without_replacement(np.ones(3), k, rng)
+        assert rng.bit_generator.state == before
+
+    def test_numpy_integer_k(self):
+        w = np.array([0.5, 0.1, 0.9, 0.2])
+        want = weighted_sample_without_replacement(w, 2, substream(7, "x"))
+        for k in (np.int64(2), np.int32(2), np.uint8(2)):
+            assert weighted_sample_without_replacement(w, k, substream(7, "x")) == want
+
 
 def choice_sampler(weights, k, rng):
     """The sampler as it was before its draw was inlined: one
@@ -232,6 +246,178 @@ class TestSamplerMatchesChoice:
         with pytest.raises(ValueError, match="finite"):
             weighted_sample_without_replacement(np.array(weights), 1, rng)
         assert rng.bit_generator.state == before
+
+
+class Scripted(np.random.Generator):
+    """A generator whose ``random()`` returns the scripted uniforms in order;
+    ``Generator.choice`` draws its uniform through ``self.random``, so the
+    oracle and the sampler see the same values. Its other draws are PCG64's."""
+
+    def __init__(self, uniforms, seed=0):
+        super().__init__(np.random.PCG64(seed))
+        self._uniforms = list(uniforms)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        u = self._uniforms.pop(0)
+        return u if size is None else np.full(size, u)
+
+
+def choice_cdf(w):
+    """The CDF ``Generator.choice(p=w / w.sum())`` searches."""
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def on_and_beside(values):
+    """Each value and both of its float neighbours that are uniforms in [0, 1)."""
+    near = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, 1.0)])
+    return near[(near >= 0.0) & (near < 1.0)]
+
+
+def boundary_script(w, k, picks_rng):
+    """k uniforms, each on or beside an entry of the CDF over the weights
+    the earlier ones leave, picked as ``choice_sampler`` picks."""
+    script = []
+    for t in range(k):
+        taken = choice_sampler(w, t, Scripted(script)) if t else []
+        pool = np.delete(np.arange(w.size), taken)
+        cdf = choice_cdf(w[pool])
+        entry = cdf[int(picks_rng.integers(0, cdf.size))]
+        script.append(picks_rng.choice(on_and_beside(np.array([entry]))))
+    return script
+
+
+@pytest.fixture
+def exact_picks(monkeypatch):
+    """Counts the draws that the running prefix sum could not decide."""
+    calls = []
+    exact = buffer_module._exact_pick
+
+    def spy(w, removed, u):
+        calls.append(u)
+        return exact(w, removed, u)
+
+    monkeypatch.setattr(buffer_module, "_exact_pick", spy)
+    return calls
+
+
+def replay_weights(rng, n=4096):
+    """Drop-side weights of a replay-shaped exchange: 1 - rank probabilities."""
+    return 1.0 - rank_probabilities(rng.uniform(-1, 1, size=n))
+
+
+class TestCertifiedDraw:
+    """Uniforms placed where the running prefix sum and the exact CDF could
+    round to opposite sides of a boundary: the prefix sum must hand each of
+    them to the exact CDF, and every pick must be ``Generator.choice``'s."""
+
+    @pytest.mark.parametrize("kind", ["replay", "random", "constant"])
+    def test_uniforms_on_every_cdf_entry(self, kind, exact_picks):
+        # equal weights of 0.1 drift hundreds of ulps between the running
+        # prefix and the exact CDF at n=4096, so a margin that did not grow
+        # with n would accept a wrong pick here
+        rng = substream(11, "certified-" + kind)
+        w = {"replay": lambda: replay_weights(rng),
+             "random": lambda: rng.uniform(0, 1, size=700),
+             "constant": lambda: np.full(4096, 0.1)}[kind]()
+        uniforms = on_and_beside(choice_cdf(w))
+        for u in uniforms:
+            want_rng, got_rng = Scripted([u]), Scripted([u])
+            assert weighted_sample_without_replacement(w, 1, got_rng) == \
+                choice_sampler(w, 1, want_rng), u
+        assert len(exact_picks) == uniforms.size
+
+    @pytest.mark.parametrize("kind", ["replay", "random", "zeros"])
+    def test_boundary_uniforms_after_removals(self, kind, exact_picks):
+        # later draws land on the CDF of what the earlier ones left, next to
+        # drawn slots; with zeros, next to runs of equal CDF entries
+        rng = substream(12, "certified-removals-" + kind)
+        for case in range(4):
+            if kind == "replay":
+                w = replay_weights(rng, n=int(rng.integers(2, 4097)))
+            else:
+                w = rng.uniform(0, 1, size=int(rng.integers(2, 300)))
+                if kind == "zeros":
+                    w *= rng.uniform(size=w.size) < 0.3
+                    w[0] = 1.0
+            k = min(24, int(np.count_nonzero(w)))
+            script = boundary_script(w, k, rng)
+            got_rng = Scripted(script, seed=case)
+            want_rng = Scripted(script, seed=case)
+            got = weighted_sample_without_replacement(w, k, got_rng)
+            assert got == choice_sampler(w, k, want_rng), (kind, case)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert len(set(got)) == k and np.all(w[got] > 0)
+        assert exact_picks
+
+    def test_huge_dynamic_range_and_most_mass_removed(self, exact_picks, caplog):
+        # exp(20 z) puts most of the mass on a few weights; drawing nearly
+        # all of them leaves totals far below the first one's rounding, so
+        # the exact CDF decides draw after draw
+        caplog.set_level(logging.ERROR, logger="streamfp.buffer")
+        cases = substream(13, "certified-range")
+        for case in range(12):
+            n = int(cases.integers(2, 600))
+            w = np.exp(20.0 * cases.standard_normal(n))
+            if case % 3 == 0:
+                w[cases.uniform(size=n) < 0.5] = 0.0
+            k = int(cases.integers(max(1, n // 2), n + 1))
+            want_rng = substream_indexed(14, "certified-range-draws", case)
+            got_rng = substream_indexed(14, "certified-range-draws", case)
+            got = weighted_sample_without_replacement(w, k, got_rng)
+            assert got == choice_sampler(w, k, want_rng), (n, k)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            positives = int(np.count_nonzero(w))
+            assert np.all(w[got[:positives]] > 0)
+        assert len(exact_picks) > 100
+
+    def test_weights_below_the_normal_range_take_the_exact_cdf(self, exact_picks):
+        # a margin that is not a normal number has no relative error bound
+        rng = substream(17, "certified-tiny")
+        w = np.ldexp(rng.uniform(0, 1, size=300), -1040)
+        want_rng = substream(18, "certified-tiny-draws")
+        got_rng = substream(18, "certified-tiny-draws")
+        got = weighted_sample_without_replacement(w, 40, got_rng)
+        assert got == choice_sampler(w, 40, want_rng)
+        assert len(exact_picks) == 40
+
+    def test_overflowing_prefix_sum_takes_the_exact_cdf(self, exact_picks):
+        # 17 equal weights of max/17: the pairwise total is finite, the
+        # running cumsum overflows
+        w = np.full(17, np.finfo(np.float64).max / 17)
+        with np.errstate(over="ignore"):
+            assert np.isfinite(w.sum()) and not np.isfinite(w.cumsum()[-1])
+        want_rng = substream(19, "certified-overflow")
+        got_rng = substream(19, "certified-overflow")
+        got = weighted_sample_without_replacement(w, 17, got_rng)
+        assert got == choice_sampler(w, 17, want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert len(exact_picks) == 17
+
+    def test_zero_weights_and_drawn_slots_never_returned(self):
+        cases = substream(15, "certified-zeros")
+        for case in range(200):
+            n = int(cases.integers(1, 400))
+            w = cases.uniform(0, 1, size=n) * (cases.uniform(size=n) < 0.2)
+            positives = int(np.count_nonzero(w))
+            if not positives:
+                continue
+            k = int(cases.integers(1, positives + 1))
+            got = weighted_sample_without_replacement(w, k, cases)
+            assert len(set(got)) == k
+            assert np.all(w[got] > 0)
+
+    def test_replay_exchanges_never_need_the_exact_cdf(self, exact_picks):
+        # the perf guard, free of timing: the retain and drop draws of ten
+        # replay-shaped exchanges (m=4096, b=256, nu=128) are all decided by
+        # the prefix sum
+        rng = substream(16, "certified-replay")
+        for _ in range(10):
+            weighted_sample_without_replacement(
+                rank_probabilities(rng.uniform(-1, 1, size=256)), 128, rng)
+            weighted_sample_without_replacement(replay_weights(rng), 128, rng)
+        assert exact_picks == []
 
 
 class TestUnitTokenSumsCache:
@@ -364,6 +550,29 @@ class TestUpdateBuffer:
         rng = substream(4, "b")
         with pytest.raises(ValueError):
             update_buffer(buf, make_items(range(3)), np.zeros(2), np.zeros(0), rng)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("argument", ["s_batch", "s_buffer"])
+    def test_non_finite_similarity_raises_before_any_change(self, argument, bad):
+        buf = RehearsalBuffer(4)
+        rng = substream(6, "b")
+        update_buffer(buf, make_items(range(4)), np.array([0.1, 0.2, 0.3, 0.4]),
+                      np.zeros(0), rng)
+        before = ([it.sample_id for it in buf.items], list(buf.similarity), buf.n_seen,
+                  rng.bit_generator.state)
+        s_batch, s_buf = np.array([0.1, 0.5, 0.3]), buf.similarity.copy()
+        (s_batch if argument == "s_batch" else s_buf)[1] = bad
+        with pytest.raises(ValueError, match=argument):
+            update_buffer(buf, make_items(range(10, 13)), s_batch, s_buf, rng)
+        assert ([it.sample_id for it in buf.items], list(buf.similarity), buf.n_seen,
+                rng.bit_generator.state) == before
+
+    def test_non_finite_similarity_raises_during_fill(self):
+        buf = RehearsalBuffer(8)
+        with pytest.raises(ValueError, match="s_batch"):
+            update_buffer(buf, make_items(range(3)), [0.1, np.nan, 0.3], np.zeros(0),
+                          substream(6, "b"))
+        assert len(buf) == 0 and buf.n_seen == 0
 
     def test_fuzz_invariants(self):
         # 10^4 randomized updates across many sequences: capacity, size
