@@ -338,7 +338,13 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng):
         if nu >= 1:
             pi_batch = rank_probabilities(s_batch[fill:])
             pi_buffer = rank_probabilities(np.concatenate([s_resident, s_batch[:fill]]))
-            retain = weighted_sample_without_replacement(pi_batch, nu, rng)
+            # a lone candidate has rank weight 0 but is a certain pick; the
+            # sampler's uniform fallback would pick it with a warning, and
+            # rng.integers(0, 1) consumes no generator state
+            if pi_batch.size == 1:
+                retain = [0]
+            else:
+                retain = weighted_sample_without_replacement(pi_batch, nu, rng)
             drop = weighted_sample_without_replacement(1.0 - pi_buffer, nu, rng)
             buffer._overwrite(drop, batch, fill + np.array(retain), s_batch)
     buffer.n_seen += b

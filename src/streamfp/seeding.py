@@ -108,28 +108,28 @@ class _PresetState(ISeedSequence):
         return self.words
 
 
-def _generators(states):
+def state_generators(states):
+    """One PCG64 ``Generator`` per row of ``(n, 4)`` uint64 seed ``states``,
+    built lazily, in row order. These generators cannot ``spawn``."""
     for words in states:
         yield np.random.Generator(np.random.PCG64(_PresetState(words)))
 
 
-def substream_indexed(master_seed: int, label: str, index):
-    """Like :func:`substream` but with an extra integer coordinate.
+def indexed_states(master_seed: int, label: str, indices):
+    """The PCG64 seed words of ``substream_indexed`` for each index, ``(n, 4)``
+    uint64, derived in one vectorised pass.
 
-    Used for per-sample / per-trial determinism (e.g. synthetic embeddings
-    keyed by (task, sample index)). For an int ``index`` it returns one
-    generator. For a 1-D integer array it returns an iterator of generators,
-    built one at a time; element ``j`` draws exactly what
-    ``substream_indexed(master_seed, label, int(index[j]))`` draws. Either way
-    the generator is the one ``SeedSequence([master_seed, key(label),
-    index])`` would seed, derived for all indices in one vectorised pass.
-    These generators cannot ``spawn``.
+    Row ``j`` is ``SeedSequence([master_seed, key(label), indices[j]])
+    .generate_state(4, uint64)``, a pure function of its own three inputs, so
+    a row derived in any request is the row of any other request for the
+    same index. ``indices`` is a 1-D array of non-negative integers.
+
+    A derivation has a fixed cost of ~60-150 us against ~0.1 us per index,
+    so the synthetic embedder calls this once per block of indices, not once
+    per batch, and slices each batch's rows from the block.
     """
     prefix = _words(int(master_seed)) + _words(_label_key(label))
-    if np.ndim(index) == 0:
-        words = _words(operator.index(index))
-        return next(_generators(_seed_states(prefix + words, 1)))
-    indices = np.asarray(index)
+    indices = np.asarray(indices)
     if indices.ndim != 1:
         raise ValueError(f"expected an int or a 1-D index array, got shape {indices.shape}")
     if indices.size and not np.issubdtype(indices.dtype, np.integer):
@@ -145,4 +145,23 @@ def substream_indexed(master_seed: int, label: str, index):
         count = int(np.count_nonzero(rows))
         if count:
             states[rows] = _seed_states(prefix + [w[rows] for w in words], count)
-    return _generators(states)
+    return states
+
+
+def substream_indexed(master_seed: int, label: str, index):
+    """Like :func:`substream` but with an extra integer coordinate.
+
+    Used for per-sample / per-trial determinism (e.g. synthetic embeddings
+    keyed by (task, sample index)). For an int ``index`` it returns one
+    generator. For a 1-D integer array it returns an iterator of generators,
+    built one at a time; element ``j`` draws exactly what
+    ``substream_indexed(master_seed, label, int(index[j]))`` draws. Either way
+    the generator is the one ``SeedSequence([master_seed, key(label),
+    index])`` would seed, derived for all indices in one vectorised pass
+    (:func:`indexed_states`). These generators cannot ``spawn``.
+    """
+    if np.ndim(index) == 0:
+        prefix = _words(int(master_seed)) + _words(_label_key(label))
+        words = _words(operator.index(index))
+        return next(state_generators(_seed_states(prefix + words, 1)))
+    return state_generators(indexed_states(master_seed, label, index))

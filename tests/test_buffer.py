@@ -535,6 +535,32 @@ class TestUpdateBuffer:
         assert len(buf) == 5
         assert buf.n_seen == 9
 
+    def test_lone_retain_candidate_is_taken_without_a_warning(self, caplog):
+        # capacity 5, offers of 3 then 3: the second fills 2 rows and leaves
+        # one retain candidate, whose rank weight is 0 but whose pick is certain
+        s1, s2 = np.array([0.3, -0.2, 0.9]), np.array([0.1, 0.5, -0.4])
+        buf = RehearsalBuffer(5)
+        rng = substream(4, "b")
+        update_buffer(buf, make_items(range(3)), s1, np.zeros(0), rng)
+        want_rng = substream(4, "b")
+        want_rng.bit_generator.state = rng.bit_generator.state
+        with caplog.at_level(logging.WARNING, logger="streamfp.buffer"):
+            update_buffer(buf, make_items(range(10, 13)), s2, buf.similarity, rng)
+        assert caplog.records == []
+        # the draws of the sampler path: the exchange count, the uniform
+        # fallback over the one row, then the drop
+        nu = compute_update_count(3, 5, 3, want_rng)
+        assert min(nu, 1) == 1
+        with caplog.at_level(logging.ERROR, logger="streamfp.buffer"):
+            assert weighted_sample_without_replacement(np.zeros(1), 1, want_rng) == [0]
+        pi_buffer = rank_probabilities(np.concatenate([s1, s2[:2]]))
+        (drop,) = weighted_sample_without_replacement(1.0 - pi_buffer, 1, want_rng)
+        ids, sims = [0, 1, 2, 10, 11], np.concatenate([s1, s2[:2]])
+        ids[drop], sims[drop] = 12, s2[2]
+        assert buf.sample_ids.tolist() == ids
+        npt.assert_array_equal(buf.similarity, sims)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_empty_offer_changes_nothing(self):
         buf = RehearsalBuffer(4)
         rng = substream(5, "b")

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamfp import learner
-from streamfp.seeding import _label_key, substream, substream_indexed
+from streamfp.seeding import (
+    _label_key,
+    indexed_states,
+    state_generators,
+    substream,
+    substream_indexed,
+)
+from streamfp.stream_sim import StreamConfig, run_experiment
 
 
 def test_same_label_same_stream():
@@ -132,11 +139,133 @@ def test_embedding_a_batch_derives_its_seeds_once(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return substream_indexed(*args)
+        return indexed_states(*args)
 
-    monkeypatch.setattr(learner, "substream_indexed", counted)
+    monkeypatch.setattr(learner, "indexed_states", counted)
     emb = learner.SyntheticEmbedder(seed=2, n_classes=4, dim=3, tokens=2, n_tasks=2,
                                     outlier_fraction=0.1, dominant_fraction=0.1)
     batch = emb.embed(1, np.arange(256))
     assert len(batch) == 256
     assert len(calls) == 1
+
+
+def test_indexed_states_match_seed_sequence():
+    indices = np.array([5, 2**32 + 1, 0, 2**40, 5], dtype=np.int64)
+    states = indexed_states(3, "s", indices)
+    assert states.shape == (5, 4) and states.dtype == np.uint64
+    for rng, index in zip(state_generators(states), indices):
+        assert_same_draws(rng, oracle(3, "s", int(index)))
+    assert indexed_states(3, "s", []).shape == (0, 4)
+
+
+BLOCK = learner.STATE_BLOCK
+
+
+class TestBlockDerivation:
+    """The embedder derives seed states per block of indices and holds the
+    most recent range; every batch must equal one whose samples draw from
+    scalar substream_indexed generators."""
+
+    @staticmethod
+    def embedder():
+        return learner.SyntheticEmbedder(seed=6, n_classes=6, dim=3, tokens=2, n_tasks=3,
+                                         outlier_fraction=0.2, dominant_fraction=0.2)
+
+    @pytest.fixture
+    def derived(self, monkeypatch):
+        """The index count of each derivation the embedder makes."""
+        sizes = []
+
+        def counted(seed, label, indices):
+            sizes.append(len(indices))
+            return indexed_states(seed, label, indices)
+
+        monkeypatch.setattr(learner, "indexed_states", counted)
+        return sizes
+
+    def oracle_batch(self, monkeypatch, task, indices):
+        rngs = [substream_indexed(6, f"sample-task{task}", int(i)) for i in indices]
+        with monkeypatch.context() as m:
+            m.setattr(learner, "state_generators", lambda states: iter(rngs))
+            m.setattr(learner, "indexed_states", indexed_states)  # not counted
+            return self.embedder().embed(task, indices)
+
+    def check(self, monkeypatch, emb, task, indices):
+        got = emb.embed(task, np.asarray(indices, dtype=np.int64))
+        want = self.oracle_batch(monkeypatch, task, np.asarray(indices, dtype=np.int64))
+        npt.assert_array_equal(got.embeddings, want.embeddings)
+        npt.assert_array_equal(got.labels, want.labels)
+        npt.assert_array_equal(got.sample_ids, want.sample_ids)
+        return got
+
+    @pytest.mark.parametrize("indices", [
+        np.arange(BLOCK - 7, BLOCK + 13),  # straddles a block boundary
+        np.arange(2**32 - 10, 2**32 + 10),  # one- and two-word indices
+        np.arange(2**40 + 3, 2**40 + 23),  # two-word indices only
+        4000 + 1_000_000 + np.arange(400),  # an eval range
+        np.arange(5, 5 + BLOCK + 300),  # longer than a block
+    ])
+    def test_request_equals_per_index_oracle(self, monkeypatch, derived, indices):
+        self.check(monkeypatch, self.embedder(), 1, indices)
+        assert derived[0] <= len(indices) + 2 * BLOCK
+
+    def test_held_range_serves_a_task_and_is_replaced(self, monkeypatch, derived):
+        emb = self.embedder()
+        # ascending batches with skip-schedule gaps, all in block 0
+        for start in (0, 20, 60, 140, 160, 400, 1000):
+            self.check(monkeypatch, emb, 0, np.arange(start, start + 20))
+        assert derived == [BLOCK]
+        self.check(monkeypatch, emb, 0, np.arange(1020, 1040))  # blocks 0 and 1
+        self.check(monkeypatch, emb, 0, np.arange(1100, 1120))  # held, in block 1
+        self.check(monkeypatch, emb, 0, np.arange(3000, 3020))  # block 2
+        self.check(monkeypatch, emb, 0, np.arange(100, 120))  # back to block 0
+        self.check(monkeypatch, emb, 1, np.arange(100, 120))  # another task
+        self.check(monkeypatch, emb, 0, np.arange(120, 140))  # back to task 0
+        assert derived == [BLOCK, 2 * BLOCK, BLOCK, BLOCK, BLOCK, BLOCK]
+
+    def test_sparse_request_derives_its_own_indices(self, monkeypatch, derived):
+        emb = self.embedder()
+        self.check(monkeypatch, emb, 2, np.arange(0, 20))
+        self.check(monkeypatch, emb, 2, [0, 2**40])
+        assert derived == [BLOCK, 2]
+        # the held range outlived the sparse request
+        self.check(monkeypatch, emb, 2, np.arange(20, 40))
+        assert derived == [BLOCK, 2]
+
+    def test_empty_request(self, monkeypatch, derived):
+        batch = self.check(monkeypatch, self.embedder(), 0, [])
+        assert len(batch) == 0 and batch.embeddings.shape == (0, 2, 3)
+        assert derived == [0]
+
+    def test_negative_index_raises(self):
+        with pytest.raises(ValueError):
+            self.embedder().embed(0, [3, -1])
+
+
+def test_a_small_run_derives_states_per_block(monkeypatch):
+    # the first call of the benchmark's small workload at its default seed
+    # (criterion 10's config): about one derivation per task of the stream
+    # and one per eval set, not one per embedded batch
+    config = dict(
+        dataset_size=4000, batch_size=20, tasks=5, n_classes=5, dim=16, sigma=0.5,
+        noise_std=0.1, drift_std=0.0, outlier_fraction=0.2, outlier_scale=3.0,
+        class_concentration=0.65, learning_rate=0.2, eval_size=400, c_s_override=2.0,
+    )
+    counts = {"embed": 0, "derive": 0}
+    embed, derive = learner.SyntheticEmbedder.embed, learner.indexed_states
+
+    def counted_embed(*args):
+        counts["embed"] += 1
+        return embed(*args)
+
+    def counted_derive(*args):
+        counts["derive"] += 1
+        return derive(*args)
+
+    monkeypatch.setattr(learner.SyntheticEmbedder, "embed", counted_embed)
+    monkeypatch.setattr(learner, "indexed_states", counted_derive)
+    for selector, policy in (("streamfp", "streamfp"), ("random", "reservoir")):
+        counts.update(embed=0, derive=0)
+        run_experiment(StreamConfig(seed=100, selector=selector, buffer_policy=policy, **config))
+        assert counts["embed"] == 134
+        assert counts["derive"] <= 12
