@@ -58,10 +58,14 @@ def _coerce_items(items, by_key, where, errors):
 def _read(path):
     """(field values, errors) of an INI config or a run-manifest JSON; the
     values are None if the file cannot be read at all."""
+    try:
+        text = path.read_text()
+    except (OSError, ValueError) as exc:  # a directory, no permission, not text
+        return None, [f"cannot read config file {path}: {exc}"]
     if path.suffix == ".json":
         try:
-            manifest = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
+            manifest = json.loads(text)
+        except ValueError as exc:
             return None, [f"invalid manifest JSON: {exc}"]
         config = manifest.get("config", manifest) if isinstance(manifest, dict) else manifest
         if not isinstance(config, dict):
@@ -73,7 +77,7 @@ def _read(path):
     parser = configparser.ConfigParser(interpolation=None)  # values are literal
     parser.optionxform = str  # keys like `K` are case-sensitive
     try:
-        parser.read(path)
+        parser.read_string(text, source=str(path))
     except (configparser.Error, ValueError) as exc:
         return None, [f"invalid config file: {exc}"]
     errors = [

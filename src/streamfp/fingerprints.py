@@ -125,40 +125,12 @@ def gate_forward(pool, params):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _token_matmul(x, w):
-    """``x @ w`` for x of shape (N, L_p, D) as one (N*L_p, D) x (D, D) GEMM;
-    NumPy runs the stacked form as N separate small products."""
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape)
-
-
 class AttuneCache(NamedTuple):
     """What :func:`attune_backward` reuses from the forward pass."""
 
     mix: np.ndarray  # (N, R) gate mixing weights
     expert_sums: np.ndarray  # (R, N, D) expert outputs summed over L_p
     gelu_slope: np.ndarray  # (R, N, L_p, D) GELU derivative at the pre-activations
-
-
-def _expert_sums(pool, params, keep_slope):
-    """Per-expert MLP outputs summed over the fingerprint length, shape
-    (R, N, D), and the GELU derivative at the pre-activations, shape
-    (R, N, L_p, D), if ``keep_slope``, else None.
-
-    The value matrix is linear, so it maps the token sum of the activations:
-    per expert one (N*L_p, D) x (D, D) GEMM for the keys and one (N, D)
-    x (D, D) GEMM for the values.
-    """
-    n, _, d = pool.weights.shape
-    sums = np.empty((params.num_experts, n, d))
-    slope = np.empty((params.num_experts,) + pool.weights.shape) if keep_slope else None
-    for r in range(params.num_experts):
-        h = _token_matmul(pool.weights, params.keys[r].T)
-        if keep_slope:
-            act, slope[r] = gelu_with_grad(h)
-        else:
-            act = gelu(h)
-        sums[r] = act.sum(axis=1) @ params.values[r].T
-    return sums, slope
 
 
 def attune(pool, params, *, with_cache=False):
@@ -178,12 +150,20 @@ def attune(pool, params, *, with_cache=False):
     if pool.dim != params.dim:
         raise ValueError(f"pool dim {pool.dim} does not match MLP dim {params.dim}")
     mix = gate_forward(pool, params)
-    sums, slope = _expert_sums(pool, params, keep_slope=with_cache)
-    out = np.zeros((pool.count, pool.dim))
+    n, lp, d = pool.weights.shape
+    # NumPy runs a stacked matmul as one (N*L_p, D) x (D, D) GEMM per expert
+    pre = pool.weights.reshape(n * lp, d) @ params.keys.transpose(0, 2, 1)
+    if with_cache:
+        act, slope = gelu_with_grad(pre)
+    else:
+        act = gelu(pre)
+    # the value matrix is linear, so it maps the token sum of the activations
+    sums = act.reshape(-1, n, lp, d).sum(axis=2) @ params.values.transpose(0, 2, 1)
+    out = np.zeros((n, d))
     for r in range(params.num_experts):
         out += mix[:, r, None] * sums[r]
     if with_cache:
-        return out, AttuneCache(mix, sums, slope)
+        return out, AttuneCache(mix, sums, slope.reshape(-1, n, lp, d))
     return out
 
 
@@ -223,10 +203,10 @@ def attune_backward(pool, params, upstream, cache):
     grad_gate = pooled.T @ dscores  # (D, R)
     grad_pool = np.repeat((dscores @ params.gate.T)[:, None, :] / lp, lp, axis=1)
 
-    # token path: accumulate per expert, weighted by its mixing weights
+    # token path: dL/d gelu(h) is the same for every token of a fingerprint
+    d_act = upstream @ params.values  # (R, N, D)
+    d_pre = d_act[:, :, None, :] * slope  # (R, N, L_p, D)
+    token_grads = d_pre.reshape(n_experts, n * lp, -1) @ params.keys
     for r in range(n_experts):
-        # dL/d gelu(h) is the same for every token of a fingerprint
-        d_act = upstream @ params.values[r]  # (N, D)
-        d_pre = d_act[:, None, :] * slope[r]
-        grad_pool += mix[:, r, None, None] * _token_matmul(d_pre, params.keys[r])
+        grad_pool += mix[:, r, None, None] * token_grads[r].reshape(pool.weights.shape)
     return grad_pool, grad_gate

@@ -284,9 +284,11 @@ def loss_gradients(model, batch):
     logits = feat @ model.prototypes.T
 
     shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
-    dlogits = probs.copy()
+    dlogits = np.exp(shifted)
+    exp_sums = dlogits.sum(axis=1, keepdims=True)
+    # _cross_entropy's reduction, from the same exp sums
+    loss = float((np.log(exp_sums[:, 0]) - shifted[np.arange(bsz), labels]).mean())
+    dlogits /= exp_sums  # the softmax
     dlogits[np.arange(bsz), labels] -= 1.0
     dlogits /= bsz
 
@@ -306,7 +308,6 @@ def loss_gradients(model, batch):
         pv / (np.maximum(norms, NORM_EPS) * scale * scale)
     )[:, None]
     grad_pool, grad_gate = attune_backward(model.pool, model.attn, d_p_agg, cache=cache)
-    loss = _cross_entropy(logits, labels)
     return loss, grad_proto, grad_pool, grad_gate
 
 

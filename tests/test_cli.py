@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import socket
 import subprocess
 import sys
 import tempfile
@@ -250,6 +251,28 @@ class TestRunCommand:
         code = main(["run", "--config", str(path), "--out", str(taken)] + FAST_OVERRIDES)
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    # configparser.read would skip a path it cannot open and report the
+    # required `lambda` and `seed` keys as missing
+    @pytest.mark.parametrize("name", ["configs", "configs.json"])
+    def test_config_that_is_a_directory_exits_2(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.mkdir()
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot read config file {path}" in err and "lambda" not in err
+
+    @pytest.mark.skipif(not hasattr(socket, "AF_UNIX"), reason="needs Unix sockets")
+    def test_config_that_cannot_be_opened_exits_2(self, tmp_path, capsys):
+        # a socket exists but no one, the superuser included, can open it
+        path = tmp_path / "run.ini"
+        with socket.socket(socket.AF_UNIX) as sock:
+            sock.bind(str(path))
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot read config file {path}" in err and "lambda" not in err
 
     def test_valid_values_name_every_key(self):
         assert set(VALID_VALUES) == {f.metadata["key"] for f in fields(StreamConfig)}
