@@ -35,6 +35,7 @@ from .buffer import (
     weighted_sample_without_replacement,
 )
 from .learner import (
+    BatchSummary,
     EmbeddingBatch,
     PrototypeModel,
     SyntheticEmbedder,

@@ -161,26 +161,57 @@ def ndtr(a):
     return out if out.ndim else out[()]
 
 
-def gelu(x):
-    """Exact Gaussian-CDF GELU, x * Phi(x). Accepts scalars or arrays."""
+def _gelu_blocks(x, out, grad):
+    """x * Phi(x) of the float64 array ``x`` into ``out``, and with ``grad``
+    the derivative Phi(x) + x * phi(x) into it, one 8192-element block at a
+    time. A block of ``out`` is written after the last read of the same
+    block of ``x``, so ``out`` may be ``x`` itself."""
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    flat_grad = None if grad is None else grad.reshape(-1)
+    cdf = np.empty(min(_NDTR_BLOCK, flat_x.size))
+    for start in range(0, flat_x.size, _NDTR_BLOCK):
+        stop = start + _NDTR_BLOCK
+        xb = flat_x[start:stop]
+        phi = cdf[:xb.size]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _ndtr_block(xb, phi)
+        if flat_grad is not None:
+            g = flat_grad[start:stop]
+            np.multiply(-0.5, xb, out=g)
+            g *= xb
+            np.exp(g, out=g)
+            g /= np.sqrt(2.0 * np.pi)
+            g *= xb
+            g += phi
+        np.multiply(phi, xb, out=flat_out[start:stop])
+
+
+def _gelu_out(x, out):
+    """``out``, or a new array like ``x`` when it is None; a given ``out``
+    must be a C-contiguous float64 array of ``x``'s shape."""
+    if out is None:
+        return np.empty(x.shape)
+    if out.shape != x.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float64 array of the input's shape")
+    return out
+
+
+def gelu(x, out=None):
+    """Exact Gaussian-CDF GELU, x * Phi(x). Accepts scalars or arrays. With
+    ``out`` (which may be ``x`` itself) the value is written there."""
     x = np.asarray(x, dtype=np.float64)
-    out = ndtr(x)
-    out *= x
-    return out if out.ndim else float(out)
+    value = _gelu_out(x, out)
+    _gelu_blocks(x, value, None)
+    return value if value.ndim else float(value)
 
 
-def gelu_with_grad(x):
+def gelu_with_grad(x, out=None):
     """``gelu(x)`` of an array and its derivative Phi(x) + x * phi(x),
     from one evaluation of Phi; the value has the same bits as ``gelu``.
-    Two arrays the size of ``x`` are allocated, both returned."""
+    The value goes to ``out`` (which may be ``x`` itself) or a new array,
+    the derivative always to a new array; both are returned."""
     x = np.asarray(x, dtype=np.float64)
-    value = ndtr(x)
-    grad = np.multiply(-0.5, x, out=np.empty(x.shape))
-    grad *= x
-    np.exp(grad, out=grad)
-    grad /= np.sqrt(2.0 * np.pi)
-    grad *= x
-    grad += value
-    value *= x
+    value = _gelu_out(x, out)
+    grad = np.empty(x.shape)
+    _gelu_blocks(x, value, grad)
     return value, grad
-

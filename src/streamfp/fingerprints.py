@@ -55,10 +55,10 @@ class FingerprintPool:
         return cls(scale * rng.standard_normal((count, length, dim)))
 
 
-def _random_orthogonal(dim, rng):
+def _random_orthogonal(dim, rng, out):
     # QR of a Gaussian matrix with sign-fixed diagonal: Haar-ish orthogonal
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q * np.sign(np.diag(r))
+    np.multiply(q, np.sign(np.diag(r)), out=out)
 
 
 @dataclass
@@ -100,8 +100,12 @@ class AttunementParams:
     def init_random(cls, dim, num_experts, rng, gate_scale=0.02):
         """Random orthogonal frozen MLPs (orthogonal init preserves signal
         scale) and a small random gate."""
-        keys = np.stack([_random_orthogonal(dim, rng) for _ in range(num_experts)])
-        values = np.stack([_random_orthogonal(dim, rng) for _ in range(num_experts)])
+        # every key, then every value, each written straight into its bank
+        keys = np.empty((num_experts, dim, dim))
+        values = np.empty((num_experts, dim, dim))
+        for bank in (keys, values):
+            for r in range(num_experts):
+                _random_orthogonal(dim, rng, bank[r])
         gate = gate_scale * rng.standard_normal((dim, num_experts))
         return cls(gate, keys, values)
 
@@ -153,12 +157,16 @@ def attune(pool, params, *, with_cache=False):
     n, lp, d = pool.weights.shape
     # NumPy runs a stacked matmul as one (N*L_p, D) x (D, D) GEMM per expert
     pre = pool.weights.reshape(n * lp, d) @ params.keys.transpose(0, 2, 1)
+    # the activations overwrite the pre-activations: with the slope, the
+    # forward holds two (R, N*L_p, D) arrays, and only the slope outlives it
     if with_cache:
-        act, slope = gelu_with_grad(pre)
+        slope = gelu_with_grad(pre, out=pre)[1]
     else:
-        act = gelu(pre)
+        gelu(pre, out=pre)
+    token_sums = pre.reshape(-1, n, lp, d).sum(axis=2)
+    del pre
     # the value matrix is linear, so it maps the token sum of the activations
-    sums = act.reshape(-1, n, lp, d).sum(axis=2) @ params.values.transpose(0, 2, 1)
+    sums = token_sums @ params.values.transpose(0, 2, 1)
     out = np.zeros((n, d))
     for r in range(params.num_experts):
         out += mix[:, r, None] * sums[r]
@@ -203,10 +211,16 @@ def attune_backward(pool, params, upstream, cache):
     grad_gate = pooled.T @ dscores  # (D, R)
     grad_pool = np.repeat((dscores @ params.gate.T)[:, None, :] / lp, lp, axis=1)
 
-    # token path: dL/d gelu(h) is the same for every token of a fingerprint
-    d_act = upstream @ params.values  # (R, N, D)
-    d_pre = d_act[:, :, None, :] * slope  # (R, N, L_p, D)
-    token_grads = d_pre.reshape(n_experts, n * lp, -1) @ params.keys
+    # token path: dL/d gelu(h) is the same for every token of a fingerprint.
+    # One expert at a time, the same GEMMs as stacked matmuls, through two
+    # reused (N, L_p, D) buffers; the cache is only read
+    d_pre = np.empty(pool.weights.shape)
+    token_grads = np.empty(pool.weights.shape)
+    d_pre_rows, grad_rows = d_pre.reshape(n * lp, -1), token_grads.reshape(n * lp, -1)
     for r in range(n_experts):
-        grad_pool += mix[:, r, None, None] * token_grads[r].reshape(pool.weights.shape)
+        d_act = upstream @ params.values[r]  # (N, D)
+        np.multiply(d_act[:, None, :], slope[r], out=d_pre)
+        np.matmul(d_pre_rows, params.keys[r], out=grad_rows)
+        token_grads *= mix[:, r, None, None]
+        grad_pool += token_grads
     return grad_pool, grad_gate

@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core_math import (
+# batch_similarity stays importable here: perfbench wraps it at this name
+from .core_math import (  # noqa: F401
     NORM_EPS,
     batch_similarity,
     l2_normalize,
@@ -45,6 +46,33 @@ class EmbeddingBatch:
 
     def __len__(self):
         return self.embeddings.shape[0]
+
+    def summary(self):
+        """The :class:`BatchSummary` of this batch."""
+        return BatchSummary(
+            unit_token_sums(self.embeddings), self.embeddings.mean(axis=1),
+            self.labels, self.embeddings.shape[1])
+
+
+@dataclass
+class BatchSummary:
+    """All that the classifier reads of a batch: per sample, the sum of its
+    unit-normalized tokens, its token mean and its label. Each row depends
+    on its own sample only, so a summary of some rows equals those rows of
+    a summary of the whole batch; the loss, its gradients and the accuracy
+    are the same bits from either."""
+
+    unit_sums: np.ndarray  # (b, D) unit_token_sums of the embeddings
+    means: np.ndarray  # (b, D) token means
+    labels: np.ndarray  # (b,)
+    tokens: int  # L, the number of tokens each row of unit_sums sums
+
+    def __len__(self):
+        return self.labels.shape[0]
+
+    def summary(self):
+        """This summary itself."""
+        return self
 
 
 class SyntheticEmbedder:
@@ -253,35 +281,41 @@ def _checked_labels(model, batch):
     return labels
 
 
-def forward_loss(model, batch, p_agg=None):
-    """Cross-entropy loss of the prototype classifier on a batch.
+def _features(model, summary, p_agg):
+    """The classifier's features and logits of a summarized batch.
 
     Per-sample feature = token-mean embedding scaled by (1 + S), where S
-    is the mean cosine similarity to the attuned fingerprints; this is
-    the differentiable coupling that lets the fingerprints and gate train.
+    is the mean cosine similarity to the attuned fingerprints ``p_agg``;
+    this is the differentiable coupling that lets the fingerprints and
+    gate train.
+    """
+    s = sum_similarity(summary.unit_sums, p_agg, summary.tokens)
+    feat = summary.means * (1.0 + s)[:, None]
+    return feat, feat @ model.prototypes.T
+
+
+def forward_loss(model, batch, p_agg=None):
+    """Cross-entropy loss and logits of the prototype classifier on an
+    :class:`EmbeddingBatch` or its :class:`BatchSummary`.
+
     ``p_agg`` is ``model.attuned_pool()``, computed here when not given.
     """
-    labels = _checked_labels(model, batch)
+    summary = batch.summary()
+    labels = _checked_labels(model, summary)
     if p_agg is None:
         p_agg = model.attuned_pool()
-    s = batch_similarity(batch.embeddings, p_agg)
-    pooled = batch.embeddings.mean(axis=1)
-    feat = pooled * (1.0 + s)[:, None]
-    logits = feat @ model.prototypes.T
+    _, logits = _features(model, summary, p_agg)
     return _cross_entropy(logits, labels), logits
 
 
 def loss_gradients(model, batch):
     """Analytic gradients of forward_loss w.r.t. prototypes, pool, gate."""
-    labels = _checked_labels(model, batch)
-    emb = batch.embeddings
-    bsz, tokens, _ = emb.shape
+    summary = batch.summary()
+    labels = _checked_labels(model, summary)
+    bsz, tokens = len(summary), summary.tokens
     p_agg, cache = attune(model.pool, model.attn, with_cache=True)
-    e_sum = unit_token_sums(emb)  # (b, D)
-    s = sum_similarity(e_sum, p_agg, tokens)
-    pooled = emb.mean(axis=1)
-    feat = pooled * (1.0 + s)[:, None]
-    logits = feat @ model.prototypes.T
+    e_sum, pooled = summary.unit_sums, summary.means  # (b, D) each
+    feat, logits = _features(model, summary, p_agg)
 
     shifted = logits - logits.max(axis=1, keepdims=True)
     dlogits = np.exp(shifted)
@@ -315,6 +349,8 @@ def train_step(model, batch, steps=None):
     """K steps of gradient descent on {prototypes, pool, gate} in place."""
     if steps is None:
         steps = model.grad_steps
+    # the K steps read the same batch, so it is summarized once
+    batch = batch.summary()
     eta = model.learning_rate
     last_loss = None
     for _ in range(steps):
@@ -330,7 +366,8 @@ def train_step(model, batch, steps=None):
 
 
 def evaluate(model, batch, p_agg=None):
-    """Argmax-logit accuracy of the model on an evaluation batch.
+    """Argmax-logit accuracy of the model on an evaluation batch, an
+    :class:`EmbeddingBatch` or its :class:`BatchSummary`.
 
     Pass ``p_agg = model.attuned_pool()`` to share one attunement across
     several evaluation batches of the same model state.

@@ -32,6 +32,8 @@ from .seeding import substream
 SELECTORS = ("streamfp", "random", "kcenter", "none")
 BUFFER_POLICIES = ("streamfp", "reservoir", "keep_first", "none")
 SKIP_MODES = ("skip_batches", "lower_ratio")
+# the most warm-up batches a run may time; each one runs a full batch
+MAX_WARMUP_BATCHES = 10_000
 
 # the metrics CSV: each column and its text, from (report, config)
 _CSV_TABLE = (
@@ -61,6 +63,7 @@ _RULES = {
     "in (0, 1]": lambda v: 0 < v <= 1,
     "in [0, 1)": lambda v: 0 <= v < 1,
     "even and >= 2": lambda v: v >= 2 and v % 2 == 0,
+    f"in [1, {MAX_WARMUP_BATCHES}]": lambda v: 1 <= v <= MAX_WARMUP_BATCHES,
 }
 
 
@@ -106,7 +109,7 @@ class StreamConfig:
     class_concentration: float = _key("learner", "class_concentration", 0.0, "in [0, 1)")
     learning_rate: float = _key("learner", "learning_rate", 0.001, ">= 0")
     eval_size: int = _key("learner", "eval_size", 100, ">= 1")  # held-out samples per task
-    warmup_batches: int = _key("stream", "warmup_batches", 50, ">= 1")
+    warmup_batches: int = _key("stream", "warmup_batches", 50, f"in [1, {MAX_WARMUP_BATCHES}]")
     # pinned timing inputs; when set, wall-clock measurement is skipped and
     # every derived figure is reproducible bit-for-bit
     pinned_batch_time: float | None = _key("timing", "pinned_batch_time", None, "> 0")
@@ -153,8 +156,10 @@ class StreamConfig:
             # (name, INI keys, float64 count) of each array a run holds at once
             terms = [
                 ("MLP bank 2*R*D^2", ("num_experts", "dim"), 2 * r * d * d),
+                # each task's (n, D) unit-token sums and token means, and the
+                # tokens of the one set being embedded
                 ("eval sets", ("tasks", "eval_size", "tokens", "dim"),
-                 self.tasks * self.eval_size * row),
+                 self.tasks * self.eval_size * 2 * d + self.eval_size * row),
                 ("buffer", ("buffer_size", "tokens", "dim"), self.buffer_size * row),
                 ("buffer unit-sum cache m*D", ("buffer_size", "dim"), self.buffer_size * d),
                 # the stream batches the warm-up embeds and holds for the run
@@ -503,21 +508,19 @@ def run_experiment(config):
     else:
         retained = skip_schedule(num_batches, c_s, skip_rng)
         run_sigma = config.sigma
-    # free the held batches that the skip schedule drops, before the eval
-    # sets are made
+    # free the held batches that the skip schedule drops
     held = {idx: held[idx] for idx in retained.tolist() if idx in held}
     buffer = RehearsalBuffer(config.buffer_size)
 
     # evaluation uses clean, balanced samples from the same class geometry,
-    # in an index range disjoint from any training sample; they are a pure
-    # function of (seed, task, index), built after the warm-up so that they
-    # are not resident during it
+    # in an index range disjoint from any training sample. A set is a pure
+    # function of (seed, task, index), so it is embedded at its task's first
+    # checkpoint and held only as its summary: the classifier reads nothing
+    # else of it
     eval_embedder = SyntheticEmbedder(**geometry)
     eval_base = config.dataset_size + 1_000_000
-    eval_sets = [
-        eval_embedder.embed(t, np.arange(eval_base, eval_base + config.eval_size))
-        for t in range(config.tasks)
-    ]
+    eval_indices = np.arange(eval_base, eval_base + config.eval_size)
+    eval_sets = []
 
     timings = {"selection": 0.0, "train": 0.0, "buffer": 0.0, "eval": 0.0}
     acc_rows = []
@@ -527,9 +530,10 @@ def run_experiment(config):
             batch = held.pop(batch_idx) if batch_idx in held else make_batch(batch_idx)
             run_batch(model, buffer, batch, timings, run_sigma)
         te = time.perf_counter()
+        eval_sets.append(eval_embedder.embed(task, eval_indices).summary())
         # one attunement serves every eval set of this checkpoint
         p_agg = model.attuned_pool()
-        acc_rows.append([evaluate(model, eval_sets[j], p_agg) for j in range(task + 1)])
+        acc_rows.append([evaluate(model, eval_set, p_agg) for eval_set in eval_sets])
         timings["eval"] += time.perf_counter() - te
 
     total_runtime = time.perf_counter() - t_start

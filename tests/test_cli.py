@@ -204,6 +204,8 @@ class TestRunCommand:
          "pinned_batch_time"),
         # rejected by the memory estimate before anything is allocated
         (["--override", "dim=1000000000"], "dim"),
+        # a warm-up that would time batches for days
+        (["--override", "warmup_batches=100000000000"], "warmup_batches"),
     ])
     def test_bad_value_exits_2_naming_its_key(self, tmp_path, capsys, flags, key):
         path = tmp_path / "run.ini"

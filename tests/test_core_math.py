@@ -289,6 +289,57 @@ def test_stacked_gelu_matches_scipy_formulas(shape):
     assert_same_bits(grad, gelu_grad(x))
 
 
+def todays_gelu_with_grad(x):
+    """The GELU's value and slope in the engine's operation order, each a
+    whole-array step: value = Phi(x) * x, slope = exp((-0.5 x) x) / sqrt(2 pi)
+    * x + Phi(x). Phi is the engine's ndtr, which TestNdtr holds to SciPy's;
+    it keeps the sign of a NaN, which SciPy's does not."""
+    cdf = ndtr(x)
+    slope = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi) * x + cdf
+    return cdf * x, slope
+
+
+def in_place_cases():
+    rng = np.random.default_rng(8193)
+    root2 = np.sqrt(2.0)
+    tails = np.concatenate([neighbours(root2), neighbours(-root2),
+                            rng.uniform(root2, 40.0, 500) * rng.choice([-1.0, 1.0], 500)])
+    nans = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 1.0])
+    # one element past a whole 8192-element block, wide enough for every branch
+    long = 3.0 * rng.standard_normal(8193)
+    return [pytest.param(tails, id="tails"), pytest.param(nans, id="inf-nan"),
+            pytest.param(long, id="8193"), pytest.param(long.reshape(1, 8193), id="8193-2d")]
+
+
+@pytest.mark.parametrize("x", in_place_cases())
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_in_place_gelu_matches_todays_values_and_slopes(x):
+    want_value, want_slope = todays_gelu_with_grad(x)
+    y = x.copy()
+    assert gelu(y, out=y) is y
+    assert_same_bits(y, want_value)
+    y = x.copy()
+    value, slope = gelu_with_grad(y, out=y)
+    assert value is y
+    assert_same_bits(value, want_value)
+    assert_same_bits(slope, want_slope)
+    # into another array, the input left as it was
+    out = np.empty_like(x)
+    assert gelu(x, out=out) is out
+    assert_same_bits(out, want_value)
+    assert_same_bits(gelu(x), want_value)
+
+
+def test_gelu_out_must_be_a_contiguous_float64_array_of_the_input_shape():
+    x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    for bad in (np.empty((4, 3)), np.empty((3, 4), dtype=np.float32),
+                np.empty((4, 3)).T, np.empty(12)):
+        with pytest.raises(ValueError, match="out must be"):
+            gelu(x, out=bad)
+        with pytest.raises(ValueError, match="out must be"):
+            gelu_with_grad(x, out=bad)
+
+
 def test_engine_and_cli_import_no_scipy():
     probe = ("import sys, streamfp, streamfp.cli; "
              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")

@@ -339,6 +339,22 @@ class TestFrozenWeights:
         with pytest.raises(ValueError, match="non-finite"):
             AttunementParams(params.gate, bank["keys"], bank["values"])
 
+    def test_init_writes_the_bank_that_stacking_would(self):
+        # each Q goes straight into its (R, D, D) bank: every key, then every
+        # value, then the gate, drawn in that order
+        params = AttunementParams.init_random(6, 3, substream(16, "f"))
+        rng = substream(16, "f")
+
+        def orthogonal():
+            q, r = np.linalg.qr(rng.standard_normal((6, 6)))
+            return q * np.sign(np.diag(r))
+
+        keys = np.stack([orthogonal() for _ in range(3)])
+        values = np.stack([orthogonal() for _ in range(3)])
+        gate = 0.02 * rng.standard_normal((6, 3))
+        for got, want in ((params.keys, keys), (params.values, values), (params.gate, gate)):
+            assert got.tobytes() == want.tobytes()
+
     def test_orthogonal_init(self):
         params = AttunementParams.init_random(6, 4, substream(12, "f"))
         for r in range(4):
@@ -396,6 +412,18 @@ class TestAttuneBackward:
         for g, g_ref in zip(backward(pool, params, upstream[:, 0]),
                             sum_before_values_backward(pool, params, upstream[:, 0])):
             assert_close_to_largest(g, g_ref)
+
+    @pytest.mark.parametrize("n,lp,d,r", shape_cases(PINNED_SHAPES[:3]))
+    def test_two_backwards_on_one_cache_give_identical_gradients(self, n, lp, d, r):
+        pool, params, upstream = random_case(n, lp, d, r, seed=d + 1)
+        _, cache = attune(pool, params, with_cache=True)
+        before = [a.tobytes() for a in cache]
+        for a in cache:
+            a.setflags(write=False)  # a write into the cache raises
+        first = attune_backward(pool, params, upstream[:, 0], cache)
+        second = attune_backward(pool, params, upstream[:, 0], cache)
+        assert all(g1.tobytes() == g2.tobytes() for g1, g2 in zip(first, second))
+        assert [a.tobytes() for a in cache] == before
 
     def test_upstream_shape_check(self):
         pool = FingerprintPool.init_random(2, 2, 3, substream(14, "b"))

@@ -1,6 +1,7 @@
 """Tests for the surrogate learner: embedder, model, metrics."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +9,9 @@ import pytest
 
 from streamfp import learner, stream_sim
 from streamfp.fingerprints import AttunementParams, FingerprintPool
+from streamfp.core_math import batch_similarity
 from streamfp.learner import (
+    BatchSummary,
     EmbeddingBatch,
     PrototypeModel,
     SyntheticEmbedder,
@@ -393,6 +396,81 @@ class TestEvaluate:
                                np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
             evaluate(model, batch)
+
+
+def token_logits(model, batch, p_agg):
+    """The classifier's logits computed from the tokens themselves."""
+    s = batch_similarity(batch.embeddings, p_agg)
+    return (batch.embeddings.mean(axis=1) * (1.0 + s)[:, None]) @ model.prototypes.T
+
+
+class TestBatchSummary:
+    """A summary carries all that the classifier reads of a batch."""
+
+    @pytest.mark.parametrize("tokens", [1, 2, 4])
+    def test_evaluating_a_summary_is_evaluating_the_tokens(self, tokens):
+        model = small_model(seed=30 + tokens, n_classes=4, dim=8)
+        batch = random_batch(30 + tokens, b=50, tokens=tokens, dim=8, n_classes=4)
+        p_att = model.attuned_pool()
+        want = token_logits(model, batch, p_att)
+        summary = batch.summary()
+        assert len(summary) == 50 and summary.tokens == tokens
+        for source in (batch, summary):
+            loss, logits = forward_loss(model, source, p_att)
+            assert logits.tobytes() == want.tobytes()
+            assert evaluate(model, source, p_att) == float(np.mean(want.argmax(axis=1) == batch.labels))
+        assert forward_loss(model, summary)[0] == forward_loss(model, batch)[0]
+
+    @pytest.mark.parametrize("tokens", [1, 2, 4])
+    def test_summary_of_rows_is_those_rows_of_the_summary(self, tokens):
+        model = small_model(seed=40, n_classes=4, dim=8)
+        batch = random_batch(40 + tokens, b=50, tokens=tokens, dim=8, n_classes=4)
+        rows = np.array([3, 4, 17, 30, 31, 32, 49])
+        part = EmbeddingBatch(batch.embeddings[rows], batch.labels[rows], batch.sample_ids[rows])
+        whole = batch.summary()
+        rows_of_whole = BatchSummary(whole.unit_sums[rows], whole.means[rows],
+                                     whole.labels[rows], tokens)
+        for got, want in zip((rows_of_whole.unit_sums, rows_of_whole.means),
+                             (part.summary().unit_sums, part.summary().means)):
+            assert got.tobytes() == want.tobytes()
+        p_att = model.attuned_pool()
+        _, logits = forward_loss(model, rows_of_whole, p_att)
+        assert logits.tobytes() == token_logits(model, part, p_att).tobytes()
+        assert evaluate(model, rows_of_whole, p_att) == evaluate(model, part, p_att)
+
+    def test_summary_rejects_label_out_of_range(self):
+        model = small_model(n_classes=3)
+        summary = random_batch(14, n_classes=3).summary()
+        summary.labels[0] = 3
+        with pytest.raises(ValueError, match="label out of range"):
+            forward_loss(model, summary)
+
+
+def test_loss_gradients_holds_two_stacked_attunement_arrays():
+    # mid shape: an (R, N*L_p, D) float64 array is 1.2 MB. The forward holds
+    # the pre-activations, which the activations overwrite, and the GELU
+    # slope; the backward the slope, the pool gradient and two (N, L_p, D)
+    # buffers, 3 (N, L_p, D) arrays being one stacked array at R = 3. The
+    # slack is the cache's (R, N, D) expert sums and eight (N, D) vectors;
+    # a third stacked array would exceed it
+    n, lp, d, r = 50, 4, 256, 3
+    model = PrototypeModel.init_random(n_classes=4, dim=d, pool_count=n, pool_length=lp,
+                                       num_experts=r, rng=substream(50, "model"))
+    batch = random_batch(50, b=8, tokens=2, dim=d, n_classes=4)
+    want = loss_gradients(model, batch)
+    stacked = 8 * r * n * lp * d
+    slack = 8 * (r * n * d + 8 * n * d)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = loss_gradients(model, batch)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * stacked + slack, (peak - 2 * stacked) / stacked
+    assert got[0] == want[0]
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got[1:], want[1:]))
 
 
 class TestMetrics:

@@ -8,6 +8,7 @@ from streamfp import stream_sim
 from streamfp.learner import PrototypeModel, SyntheticEmbedder
 from streamfp.stream_sim import (
     CSV_COLUMNS,
+    MAX_WARMUP_BATCHES,
     StreamConfig,
     class_order_permutation,
     kcenter_coreset,
@@ -228,22 +229,32 @@ class TestStreamConfigValidate:
         # float64 arrays far beyond any machine's memory
         (dict(dim=10**9), "dim"),
         (dict(eval_size=10**13), "dim"),
+        (dict(warmup_batches=0), "warmup_batches"),
+        (dict(warmup_batches=MAX_WARMUP_BATCHES + 1), "warmup_batches"),
+        (dict(warmup_batches=10**11), "warmup_batches"),
     ])
     def test_rejects_bad_types_and_ranges(self, change, key):
         errors = StreamConfig(**change).validate()
         assert len(errors) == 1
         assert f"`{key}`" in errors[0]
 
+    def test_warmup_batches_bound(self):
+        assert StreamConfig(warmup_batches=MAX_WARMUP_BATCHES).validate() == []
+        errors = StreamConfig(warmup_batches=MAX_WARMUP_BATCHES + 1).validate()
+        assert errors == [f"key `warmup_batches`: must be in [1, {MAX_WARMUP_BATCHES}], "
+                          f"got {MAX_WARMUP_BATCHES + 1}"]
+
     def test_memory_estimate_against_physical_memory(self, monkeypatch):
-        # paper shape: 2*R*D^2 bank, 3*400 eval samples + 512 buffered + 64
-        # in the batch + 31*64 in the 31 held warm-up batches (2000 // 64
-        # batches, fewer than the 50 warm-up batches) of L*D floats each,
-        # the buffer's 512 unit-token sums of D floats, an (N, L_p, D) pool
-        # and the R*N*(L_p+1)*D attunement cache
+        # paper shape: 2*R*D^2 bank, the 400 eval samples being embedded +
+        # 512 buffered + 64 in the batch + 31*64 in the 31 held warm-up
+        # batches (2000 // 64 batches, fewer than the 50 warm-up batches) of
+        # L*D floats each, the 3*400 eval summaries of 2*D floats, the
+        # buffer's 512 unit-token sums of D floats, an (N, L_p, D) pool and
+        # the R*N*(L_p+1)*D attunement cache
         cfg = StreamConfig(dim=768, tokens=4, n_fingerprints=100, fingerprint_length=4,
                            batch_size=64, buffer_size=512, tasks=3, eval_size=400)
-        need = 8 * (2 * 3 * 768**2 + (3 * 400 + 512 + 64 + 31 * 64) * 4 * 768
-                    + 512 * 768 + 100 * 4 * 768 + 3 * 100 * 5 * 768)
+        need = 8 * (2 * 3 * 768**2 + (400 + 512 + 64 + 31 * 64) * 4 * 768
+                    + 3 * 400 * 2 * 768 + 512 * 768 + 100 * 4 * 768 + 3 * 100 * 5 * 768)
         monkeypatch.setattr(stream_sim, "_physical_memory_bytes", lambda: need)
         assert cfg.validate() == []
         monkeypatch.setattr(stream_sim, "_physical_memory_bytes", lambda: need - 1)
@@ -430,6 +441,16 @@ class TestWarmupBatchReuse:
         retained = skip_schedule(20, 2.0, substream(cfg.seed, "skip")).tolist()
         assert sorted(embedded) == sorted(set(range(min(warmup_batches, 20))) | set(retained))
         assert len(calls) == len(embedded) + cfg.tasks
+
+    def test_eval_set_embedded_at_its_tasks_first_checkpoint(self, monkeypatch):
+        # after the warm-up, each task's stream batches and then its eval set
+        calls = self.spy(monkeypatch)
+        cfg = StreamConfig(**{**GOLDEN_UNPINNED[0][0], "c_s_override": 1.0})
+        run_experiment(cfg)
+        main_loop = calls[cfg.warmup_batches:]
+        eval_start = cfg.dataset_size + 1_000_000
+        tasks = [(task, start >= eval_start) for task, start in main_loop]
+        assert tasks == [(0, False)] * 4 + [(0, True)] + [(1, False)] * 10 + [(1, True)]
 
 
 # run outputs of every selector x buffer policy at skip_batches, and one
