@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_math import unit_token_sums
-from .learner import EmbeddingBatch
+from .learner import BatchSummary, EmbeddingBatch
 
 logger = logging.getLogger(__name__)
 
@@ -40,8 +40,8 @@ class RehearsalBuffer:
     rows are live; it grows all of them together, geometrically, so a full
     fill copies each resident O(1) times. The writers only flag the rows
     they wrote; ``unit_token_sums`` brings those rows of its cache up to
-    date when it is asked, so a policy that never scores residents never
-    computes the cache."""
+    date when it is asked, by resident scoring or a mini-batch, so each
+    written row is normalized at most once."""
 
     # the per-resident arrays, grown together
     _COLUMNS = ("_embeddings", "_sums", "_ids", "_labels", "_similarity", "_stale")
@@ -100,11 +100,13 @@ class RehearsalBuffer:
         return tuple(BufferItem(i, emb[r], label, s) for r, (i, label, s) in enumerate(rows))
 
     def minibatch(self, size, rng):
-        """Up to ``size`` residents drawn uniformly without replacement, or None."""
+        """The :class:`BatchSummary` of up to ``size`` residents drawn uniformly
+        without replacement, with their cached unit-token sums, or None."""
         if not len(self) or size < 1:
             return None
         idx = rng.choice(len(self), size=min(size, len(self)), replace=False)
-        return EmbeddingBatch(self._embeddings[idx], self._labels[idx], self._ids[idx])
+        return BatchSummary(self.unit_token_sums()[idx], self._embeddings[idx].mean(axis=1),
+                            self._labels[idx], self._embeddings.shape[1])
 
     def _append(self, batch, similarity):
         """Store the leading batch rows that fit in the rows after the

@@ -26,6 +26,7 @@ from .checks import (
     sampler_check,
     update_count_expectation_check,
 )
+from .learner import EmbeddingBatch
 from .seeding import substream
 from .stream_sim import SELECTORS, StreamConfig, coerce, metrics_csv, run_experiment, select
 
@@ -226,13 +227,14 @@ def cmd_verify(args):
 
 
 def bench_selectors(selectors, batch_size, dim, n_fingerprints, repeats, seed=1):
-    """Median per-batch selection latency and samples/sec per selector,
-    each selecting through the run's ``stream_sim.select``."""
+    """Median per-batch selection latency and samples/sec per selector, each
+    summarizing its batch and calling ``stream_sim.select`` as a run does."""
     for name in selectors:
         if name not in SELECTORS:
             raise ValueError(f"unknown selector {name!r}")
     rng = substream(seed, "bench")
-    emd = rng.standard_normal((batch_size, 1, dim))
+    batch = EmbeddingBatch(rng.standard_normal((batch_size, 1, dim)),
+                           np.zeros(batch_size, dtype=np.int64), np.arange(batch_size))
     fingerprints = rng.standard_normal((n_fingerprints, dim))
     sigma = 0.5
     rows = []
@@ -241,7 +243,7 @@ def bench_selectors(selectors, batch_size, dim, n_fingerprints, repeats, seed=1)
         for _ in range(repeats):
             sel_rng = substream(seed, f"bench-{name}")
             t0 = time.perf_counter()
-            select(name, sigma, emd, fingerprints, sel_rng)
+            select(name, sigma, batch.summary(), fingerprints, sel_rng)
             times.append(time.perf_counter() - t0)
         median = statistics.median(times)
         rows.append((name, median, batch_size / median))

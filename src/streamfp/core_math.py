@@ -150,7 +150,8 @@ def ndtr(a):
     algorithm of ``scipy.special.ndtr``) with the same bits: rational
     approximations of erf and erfc in Cephes' operation order, and
     exp(-z^2) from libm's ``exp`` on the elements with |a| >= sqrt(2).
-    Accepts scalars or arrays; NaN maps to NaN."""
+    Accepts scalars or arrays; any NaN, whatever its sign or payload, maps
+    to the positive quiet NaN, as in Cephes."""
     a = np.asarray(a, dtype=np.float64)
     out = np.empty(a.shape)
     flat_a, flat_out = a.reshape(-1), out.reshape(-1)
@@ -158,6 +159,9 @@ def ndtr(a):
         for start in range(0, flat_a.size, _NDTR_BLOCK):
             stop = start + _NDTR_BLOCK
             _ndtr_block(flat_a[start:stop], flat_out[start:stop])
+    # the blocks carry a NaN input's sign and payload through; the GELU,
+    # which reads them directly, keeps that
+    flat_out[np.isnan(flat_a)] = np.nan
     return out if out.ndim else out[()]
 
 

@@ -74,6 +74,15 @@ class BatchSummary:
         """This summary itself."""
         return self
 
+    def take(self, rows, then=None):
+        """The summary of this one's ``rows``, followed by every row of the
+        summary ``then`` when one is given: the same bits as summarizing
+        those samples together."""
+        columns = (self.unit_sums[rows], self.means[rows], self.labels[rows])
+        if then is not None:
+            columns = map(np.concatenate, zip(columns, (then.unit_sums, then.means, then.labels)))
+        return BatchSummary(*columns, self.tokens)
+
 
 class SyntheticEmbedder:
     """Drifting Gaussian class clusters emitted as token embeddings.

@@ -16,10 +16,10 @@ import numpy as np
 
 from .buffer import RehearsalBuffer, keep_first_update, reservoir_update, update_buffer
 from .coreset import coreset_size, select_coreset
-from .core_math import batch_similarity, sum_similarity
+# batch_similarity stays importable here: perfbench wraps it at this name
+from .core_math import batch_similarity, sum_similarity  # noqa: F401
 from .fingerprints import aggregate
 from .learner import (
-    EmbeddingBatch,
     PrototypeModel,
     SyntheticEmbedder,
     average_accuracy,
@@ -302,17 +302,17 @@ def random_coreset(batch_size, sigma, rng):
     return np.sort(rng.choice(batch_size, size=c, replace=False))
 
 
-def kcenter_coreset(emd, sigma):
-    """Greedy farthest-point k-center selection on mean-pooled embeddings.
+def kcenter_coreset(points, sigma):
+    """Greedy farthest-point k-center selection on the ``(b, D)`` rows of ``points``.
 
     The first center is the point farthest from the centroid (ties to the
     lower index), which makes the selection deterministic. A selected
     point is never picked again, so a batch with fewer distinct points
     than ``c`` still yields ``c`` distinct indices.
     """
-    pooled = np.asarray(emd, dtype=np.float64)
-    if pooled.ndim == 3:
-        pooled = pooled.mean(axis=1)
+    pooled = np.asarray(points, dtype=np.float64)
+    if pooled.ndim != 2:
+        raise ValueError(f"points must be rank-2 (b, D), got shape {pooled.shape}")
     c = coreset_size(pooled.shape[0], sigma)
     centroid = pooled.mean(axis=0)
     d0 = np.linalg.norm(pooled - centroid, axis=1)
@@ -334,20 +334,11 @@ def class_order_permutation(order_id, n_classes):
     return rng.permutation(n_classes)
 
 
-def _concat_batches(a, b):
-    if b is None:
-        return a
-    return EmbeddingBatch(
-        np.concatenate([a.embeddings, b.embeddings]),
-        np.concatenate([a.labels, b.labels]),
-        np.concatenate([a.sample_ids, b.sample_ids]),
-    )
-
-
-def select(selector, sigma, emd, fingerprints, rng):
-    """Coreset of the ``(b, L, D)`` embeddings ``emd`` by the named selector
-    of ``SELECTORS``; returns (indices, similarity or None). Only
-    ``streamfp`` reads the ``(N, D)`` fingerprints, and only ``random``
+def select(selector, sigma, summary, fingerprints, rng):
+    """Coreset of the batch that ``summary`` (a ``BatchSummary``) summarizes,
+    by the named selector of ``SELECTORS``; returns (indices, similarity or
+    None). ``streamfp`` scores the unit-token sums against the ``(N, D)``
+    fingerprints, ``kcenter`` reads the token means, and only ``random``
     draws from ``rng``. The driver and ``streamfp bench`` both select here.
 
     The driver passes the raw ``aggregate(model.pool)``, not the attuned
@@ -356,24 +347,24 @@ def select(selector, sigma, emd, fingerprints, rng):
     every selection and buffer decision, and so every recorded run output.
     """
     if selector == "none":
-        return np.arange(len(emd)), None
+        return np.arange(len(summary)), None
     if selector == "random":
-        return random_coreset(len(emd), sigma, rng), None
+        return random_coreset(len(summary), sigma, rng), None
     if selector == "kcenter":
-        return kcenter_coreset(emd, sigma), None
+        return kcenter_coreset(summary.means, sigma), None
     if selector != "streamfp":
         raise ValueError(f"unknown selector {selector!r}")
-    s = batch_similarity(emd, fingerprints)
+    s = sum_similarity(summary.unit_sums, fingerprints, summary.tokens)
     return select_coreset(s, sigma).indices, s
 
 
 def run_experiment(config):
     """Execute one full stream run and return its MetricsReport.
 
-    Pipeline per retained batch: embed, similarity, coreset selection,
-    K-step training on coreset plus a buffer mini-batch, then a buffer
-    update over the whole batch. Deterministic given the master seed
-    (timing figures excepted unless pinned).
+    Pipeline per retained batch: embed, one summary, similarity, coreset
+    selection, K-step training on the coreset's summary rows plus a buffer
+    mini-batch, then a buffer update over the whole batch. Deterministic
+    given the master seed (timing figures excepted unless pinned).
     """
     errors = config.validate()
     if errors:
@@ -428,20 +419,16 @@ def run_experiment(config):
 
     def run_batch(model, buffer, batch, timings, sigma):
         t0 = time.perf_counter()
+        # the batch's one summary: everything below reads its rows
+        summary = batch.summary()
         sel_idx, s = select(
-            config.selector, sigma, batch.embeddings, aggregate(model.pool), sel_rng)
+            config.selector, sigma, summary, aggregate(model.pool), sel_rng)
         t1 = time.perf_counter()
-        coreset_batch = EmbeddingBatch(
-            batch.embeddings[sel_idx], batch.labels[sel_idx], batch.sample_ids[sel_idx]
-        )
-        train_batch = _concat_batches(
-            coreset_batch, buffer.minibatch(len(sel_idx), retrieval_rng)
-        )
-        train_step(model, train_batch)
+        train_step(model, summary.take(sel_idx, buffer.minibatch(len(sel_idx), retrieval_rng)))
         t2 = time.perf_counter()
         if config.buffer_policy == "streamfp":
             if s is None:
-                s = batch_similarity(batch.embeddings, aggregate(model.pool))
+                s = sum_similarity(summary.unit_sums, aggregate(model.pool), summary.tokens)
             if len(buffer):
                 # residents' embeddings never change, so their unit-token
                 # sums are cached and only the fingerprint side is new

@@ -20,7 +20,7 @@ from streamfp.buffer import (
 )
 from streamfp import buffer as buffer_module
 from streamfp.core_math import batch_similarity, l2_normalize, sum_similarity, unit_token_sums
-from streamfp.learner import EmbeddingBatch
+from streamfp.learner import BatchSummary, EmbeddingBatch
 from streamfp.seeding import substream, substream_indexed
 
 
@@ -475,6 +475,44 @@ class TestUnitTokenSumsCache:
             for ids in (range(3), range(3, 9), range(9, 15)):
                 update(buf, make_items(ids, tokens=2))
         assert calls == []
+
+
+class TestMinibatch:
+    """``RehearsalBuffer.minibatch`` summarizes the residents it draws, from
+    the cached unit-token sums, with the generator's draw of the stored
+    embeddings."""
+
+    @pytest.mark.parametrize("tokens", [1, 3])
+    def test_equals_summarizing_the_drawn_residents(self, tokens):
+        rng = substream(tokens, "minibatch")
+        buf = RehearsalBuffer(30)
+        batches = offer_stream((20, 6, 12), tokens=tokens, dim=8, seed=tokens)
+        keep_first_update(buf, next(batches))
+        buf.unit_token_sums()
+        # rows written since the sums were last read: a fill, then exchanges
+        update_buffer(buf, next(batches), rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 20), rng)
+        update_buffer(buf, next(batches), rng.uniform(-1, 1, 12), rng.uniform(-1, 1, 26), rng)
+        assert buf._stale[:len(buf)].any()
+        for size in (5, 30, 50):
+            draw, twin = np.random.default_rng(size), np.random.default_rng(size)
+            got = buf.minibatch(size, draw)
+            idx = twin.choice(len(buf), size=min(size, len(buf)), replace=False)
+            want = EmbeddingBatch(buf.embeddings()[idx], buf.labels[idx],
+                                  buf.sample_ids[idx]).summary()
+            assert isinstance(got, BatchSummary)
+            assert got.tokens == tokens and len(got) == min(size, len(buf))
+            for column in ("unit_sums", "means", "labels"):
+                assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+            assert draw.bit_generator.state == twin.bit_generator.state
+
+    def test_empty_buffer_or_size_draws_nothing(self):
+        buf = RehearsalBuffer(4)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert buf.minibatch(3, rng) is None
+        keep_first_update(buf, next(offer_stream((2,))))
+        assert buf.minibatch(0, rng) is None
+        assert rng.bit_generator.state == state
 
 
 class TestUpdateBuffer:

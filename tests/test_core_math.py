@@ -247,6 +247,8 @@ class TestNdtr:
     def test_random_inputs_at_every_scale(self, scale):
         # more than one 8192-element block, in a 2-d array
         x = scale * np.random.default_rng(int(scale * 1000)).standard_normal((5, 4000))
+        # NaNs of either sign and infinities, in the first and the last block
+        x[0, :4] = x[4, -4:] = -np.nan, np.nan, np.inf, -np.inf
         assert_same_bits(ndtr(x), special.ndtr(x))
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -258,7 +260,7 @@ class TestNdtr:
     def test_branch_points_special_values_and_subnormals(self):
         edges = [v for b in BRANCH_POINTS for s in (1.0, -1.0) for v in neighbours(s * b)]
         tiny = np.finfo(np.float64).tiny
-        special_values = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+        special_values = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
                           tiny, -tiny, np.nextafter(tiny, 0.0), -np.nextafter(tiny, 0.0)]
         x = np.array(edges + special_values)
         assert_same_bits(ndtr(x), special.ndtr(x))
@@ -292,9 +294,10 @@ def test_stacked_gelu_matches_scipy_formulas(shape):
 def todays_gelu_with_grad(x):
     """The GELU's value and slope in the engine's operation order, each a
     whole-array step: value = Phi(x) * x, slope = exp((-0.5 x) x) / sqrt(2 pi)
-    * x + Phi(x). Phi is the engine's ndtr, which TestNdtr holds to SciPy's;
-    it keeps the sign of a NaN, which SciPy's does not."""
-    cdf = ndtr(x)
+    * x + Phi(x). Phi is the engine's ndtr, which TestNdtr holds to SciPy's,
+    except at a NaN: the GELU's Phi keeps a NaN's sign, which SciPy's, and so
+    the public ndtr, does not."""
+    cdf = np.where(np.isnan(x), x, ndtr(x))
     slope = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi) * x + cdf
     return cdf * x, slope
 

@@ -22,6 +22,7 @@ from streamfp.learner import (
     loss_gradients,
     train_step,
 )
+from streamfp.buffer import RehearsalBuffer, keep_first_update
 from streamfp.seeding import substream
 from test_fingerprints import reference_attune, reference_attune_backward
 
@@ -437,6 +438,34 @@ class TestBatchSummary:
         _, logits = forward_loss(model, rows_of_whole, p_att)
         assert logits.tobytes() == token_logits(model, part, p_att).tobytes()
         assert evaluate(model, rows_of_whole, p_att) == evaluate(model, part, p_att)
+
+    @pytest.mark.parametrize("shape", [(64, 4, 768), (20, 1, 16)])
+    def test_taken_rows_and_a_minibatch_are_the_summary_of_their_embeddings(self, shape):
+        # the driver's training batch: the coreset rows of the stream batch's
+        # summary, then a buffer mini-batch, against summarizing the
+        # concatenated embeddings; a zero token row normalizes to zero
+        b = shape[0]
+        rng = substream(shape[2], "take")
+        batch = EmbeddingBatch(rng.standard_normal(shape), rng.integers(0, 5, size=b),
+                               np.arange(b))
+        resident = EmbeddingBatch(rng.standard_normal(shape), rng.integers(0, 5, size=b),
+                                  np.arange(b, 2 * b))
+        rows = np.sort(rng.choice(b, size=b // 2, replace=False))
+        drawn = np.random.default_rng(7).choice(b, size=b // 2, replace=False)
+        batch.embeddings[rows[1], 0] = resident.embeddings[drawn[2], 0] = 0.0
+        buf = RehearsalBuffer(b)
+        keep_first_update(buf, resident)
+        got = batch.summary().take(rows, buf.minibatch(b // 2, np.random.default_rng(7)))
+        want = EmbeddingBatch(
+            np.concatenate([batch.embeddings[rows], resident.embeddings[drawn]]),
+            np.concatenate([batch.labels[rows], resident.labels[drawn]]),
+            np.concatenate([rows, b + drawn])).summary()
+        assert got.tokens == want.tokens == shape[1]
+        for column in ("unit_sums", "means", "labels"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+        alone = batch.summary().take(rows)
+        assert alone.unit_sums.tobytes() == want.unit_sums[:b // 2].tobytes()
+        assert alone.means.tobytes() == want.means[:b // 2].tobytes()
 
     def test_summary_rejects_label_out_of_range(self):
         model = small_model(n_classes=3)

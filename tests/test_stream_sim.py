@@ -4,8 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from streamfp import stream_sim
-from streamfp.learner import PrototypeModel, SyntheticEmbedder
+from streamfp import buffer as buffer_module, core_math, learner, stream_sim
+from streamfp.learner import EmbeddingBatch, PrototypeModel, SyntheticEmbedder
 from streamfp.stream_sim import (
     CSV_COLUMNS,
     MAX_WARMUP_BATCHES,
@@ -116,11 +116,13 @@ class TestBaselineSelectors:
         npt.assert_array_equal(kcenter_coreset(x, 0.3), kcenter_coreset(x, 0.3))
 
     def test_kcenter_token_axis_pooled(self):
+        # select pools the token axis through the batch summary's token means
         rng = substream(9, "k")
         x = rng.standard_normal((12, 2, 5))
-        npt.assert_array_equal(
-            kcenter_coreset(x, 0.5), kcenter_coreset(x.mean(axis=1), 0.5)
-        )
+        summary = EmbeddingBatch(x, np.zeros(12, dtype=np.int64), np.arange(12)).summary()
+        indices, similarity = stream_sim.select("kcenter", 0.5, summary, None, None)
+        npt.assert_array_equal(indices, kcenter_coreset(x.mean(axis=1), 0.5))
+        assert similarity is None
 
     @pytest.mark.parametrize("points,sigma", [
         # rows 1-5 coincide: after two centers every distance is 0
@@ -501,6 +503,39 @@ class TestSelectorBufferGolden:
         assert report.avg_accuracy == avg_accuracy
         assert report.avg_forgetting == avg_forgetting
         assert (report.retained_batches, report.total_batches) == (retained, 10)
+
+
+class TestRowsNormalizedOnce:
+    """A run normalizes each retained stream batch's tokens once, in its
+    summary, and each eval set's once; training, selection and the
+    post-training rescoring read those summaries. The buffer normalizes the
+    rows written into it, each at most once, in its own cache."""
+
+    @pytest.mark.parametrize("selector, policy", [(s, p) for s, p, *_ in GOLDEN_COMBINATIONS],
+                             ids=[f"{s}-{p}" for s, p, *_ in GOLDEN_COMBINATIONS])
+    def test_rows_normalized(self, monkeypatch, selector, policy):
+        rows = {"engine": 0, "buffer": 0}
+
+        def counting(owner, key):
+            wrapped = owner.unit_token_sums
+
+            def count(emd):
+                rows[key] += len(emd)
+                return wrapped(emd)
+
+            monkeypatch.setattr(owner, "unit_token_sums", count)
+
+        counting(core_math, "engine")
+        counting(learner, "engine")
+        counting(buffer_module, "buffer")
+        cfg = StreamConfig(selector=selector, buffer_policy=policy, **GOLDEN_BASE)
+        report = run_experiment(cfg)
+        assert report.retained_batches == 5
+        assert rows["engine"] == 5 * cfg.batch_size + cfg.tasks * cfg.eval_size
+        if policy == "none":
+            assert rows["buffer"] == 0
+        else:
+            assert 0 < rows["buffer"] <= 5 * cfg.batch_size
 
 
 class TestMetricsCsv:
