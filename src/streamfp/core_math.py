@@ -190,13 +190,14 @@ def _gelu_blocks(x, out, grad):
         np.multiply(phi, xb, out=flat_out[start:stop])
 
 
-def _gelu_out(x, out):
+def _gelu_out(x, out, name="out"):
     """``out``, or a new array like ``x`` when it is None; a given ``out``
-    must be a C-contiguous float64 array of ``x``'s shape."""
+    must be a C-contiguous float64 array of ``x``'s shape. ``name`` is the
+    argument's name in the error."""
     if out is None:
         return np.empty(x.shape)
     if out.shape != x.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous float64 array of the input's shape")
+        raise ValueError(f"{name} must be a C-contiguous float64 array of the input's shape")
     return out
 
 
@@ -209,13 +210,14 @@ def gelu(x, out=None):
     return value if value.ndim else float(value)
 
 
-def gelu_with_grad(x, out=None):
+def gelu_with_grad(x, out=None, grad=None):
     """``gelu(x)`` of an array and its derivative Phi(x) + x * phi(x),
     from one evaluation of Phi; the value has the same bits as ``gelu``.
-    The value goes to ``out`` (which may be ``x`` itself) or a new array,
-    the derivative always to a new array; both are returned."""
+    The value goes to ``out`` (which may be ``x`` itself) and the
+    derivative to ``grad``, each a new array when not given; ``grad`` must
+    not overlap ``x`` or ``out``. Both are returned."""
     x = np.asarray(x, dtype=np.float64)
     value = _gelu_out(x, out)
-    grad = np.empty(x.shape)
+    grad = _gelu_out(x, grad, "grad")
     _gelu_blocks(x, value, grad)
     return value, grad

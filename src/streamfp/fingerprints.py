@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_math import gelu, gelu_with_grad
+from .core_math import _NDTR_BLOCK, gelu, gelu_with_grad
 
 
 @dataclass
@@ -155,21 +155,31 @@ def attune(pool, params, *, with_cache=False):
         raise ValueError(f"pool dim {pool.dim} does not match MLP dim {params.dim}")
     mix = gate_forward(pool, params)
     n, lp, d = pool.weights.shape
-    # NumPy runs a stacked matmul as one (N*L_p, D) x (D, D) GEMM per expert
-    pre = pool.weights.reshape(n * lp, d) @ params.keys.transpose(0, 2, 1)
-    # the activations overwrite the pre-activations: with the slope, the
-    # forward holds two (R, N*L_p, D) arrays, and only the slope outlives it
-    if with_cache:
-        slope = gelu_with_grad(pre, out=pre)[1]
-    else:
-        gelu(pre, out=pre)
-    token_sums = pre.reshape(-1, n, lp, d).sum(axis=2)
-    del pre
+    n_experts = params.num_experts
+    rows, keys_t = pool.weights.reshape(n * lp, d), params.keys.transpose(0, 2, 1)
+    # the experts run in groups of at most one ndtr block of pre-activations
+    # (one expert where an expert's exceeds it), each group's activations
+    # written over them: the forward holds one group's (N*L_p, D)
+    # pre-activations, and with the cache the slope of every expert
+    group = max(1, _NDTR_BLOCK // (n * lp * d))
+    pre = np.empty((min(group, n_experts), n * lp, d))
+    slope = np.empty((n_experts, n * lp, d)) if with_cache else None
+    token_sums = np.empty((n_experts, n, d))
+    for start in range(0, n_experts, group):
+        stop = min(start + group, n_experts)
+        act = pre[:stop - start]
+        # NumPy runs a stacked matmul as one (N*L_p, D) x (D, D) GEMM per expert
+        np.matmul(rows, keys_t[start:stop], out=act)
+        if with_cache:
+            gelu_with_grad(act, out=act, grad=slope[start:stop])
+        else:
+            gelu(act, out=act)
+        act.reshape(-1, n, lp, d).sum(axis=2, out=token_sums[start:stop])
+    del pre, act
     # the value matrix is linear, so it maps the token sum of the activations
     sums = token_sums @ params.values.transpose(0, 2, 1)
-    out = np.zeros((n, d))
-    for r in range(params.num_experts):
-        out += mix[:, r, None] * sums[r]
+    # mixed in expert order from +0.0, as adding each expert's share in turn
+    out = (mix.T[:, :, None] * sums).sum(axis=0, initial=0.0)
     if with_cache:
         return out, AttuneCache(mix, sums, slope.reshape(-1, n, lp, d))
     return out
@@ -202,9 +212,7 @@ def attune_backward(pool, params, upstream, cache):
 
     # gate path: dL/dmix[n, r] = <upstream[n], sums[r, n]>, then the
     # softmax Jacobian per row
-    dmix = np.empty((n, n_experts), dtype=np.float64)
-    for r in range(n_experts):
-        dmix[:, r] = np.einsum("nd,nd->n", upstream, sums[r])
+    dmix = np.einsum("nd,rnd->nr", upstream, sums)
     dscores = mix * (dmix - np.sum(mix * dmix, axis=1, keepdims=True))
 
     pooled = pool.weights.mean(axis=1)  # (N, D)

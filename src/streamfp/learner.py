@@ -36,6 +36,10 @@ logger = logging.getLogger(__name__)
 # many consecutive indices: one derivation has a fixed cost of ~60-150 us
 # against ~0.1 us per index, so a block costs about twice a single batch
 STATE_BLOCK = 1024
+# SyntheticEmbedder.summarize embeds and summarizes a set in row blocks of at
+# most this many token floats (2 MiB), so a set's (n, L, D) tokens are never
+# held whole
+SUMMARY_BLOCK = 2**18
 
 
 @dataclass
@@ -182,6 +186,23 @@ class SyntheticEmbedder:
             held = (task, lo, indexed_states(self.seed, label, np.arange(lo, hi, dtype=np.uint64)))
             self._held_states = held
         return held[2][indices - held[1]]
+
+    def summarize(self, task, sample_indices):
+        """The :class:`BatchSummary` of ``embed(task, sample_indices)``, the
+        same bits, built in row blocks of at most ``SUMMARY_BLOCK`` token
+        floats (one row where a row exceeds it). Each block's summary rows
+        go straight into the ``(n, D)`` and ``(n,)`` arrays returned, so at
+        most one block of tokens is held at a time."""
+        sample_indices = np.asarray(sample_indices, dtype=np.int64)
+        n, rows = sample_indices.size, max(1, SUMMARY_BLOCK // (self.tokens * self.dim))
+        unit_sums, means = np.empty((n, self.dim)), np.empty((n, self.dim))
+        labels = np.empty(n, dtype=np.int64)
+        for start in range(0, n, rows):
+            part = slice(start, start + rows)
+            block = self.embed(task, sample_indices[part]).summary()
+            unit_sums[part], means[part], labels[part] = block.unit_sums, block.means, block.labels
+            del block
+        return BatchSummary(unit_sums, means, labels, self.tokens)
 
     def embed(self, task, sample_indices):
         """Generate the batch for the given task and sample indices.

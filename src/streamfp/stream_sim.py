@@ -17,9 +17,10 @@ import numpy as np
 from .buffer import RehearsalBuffer, keep_first_update, reservoir_update, update_buffer
 from .coreset import coreset_size, select_coreset
 # batch_similarity stays importable here: perfbench wraps it at this name
-from .core_math import batch_similarity, sum_similarity  # noqa: F401
+from .core_math import _NDTR_BLOCK, batch_similarity, sum_similarity  # noqa: F401
 from .fingerprints import aggregate
 from .learner import (
+    SUMMARY_BLOCK,
     PrototypeModel,
     SyntheticEmbedder,
     average_accuracy,
@@ -153,13 +154,16 @@ class StreamConfig:
         if not errors:
             row, r, n, lp, d = (self.tokens * self.dim, self.num_experts,
                                 self.n_fingerprints, self.fingerprint_length, self.dim)
+            # attune's expert group: as many experts as one ndtr block holds
+            group = min(r, max(1, _NDTR_BLOCK // (n * lp * d)))
             # (name, INI keys, float64 count) of each array a run holds at once
             terms = [
                 ("MLP bank 2*R*D^2", ("num_experts", "dim"), 2 * r * d * d),
                 # each task's (n, D) unit-token sums and token means, and the
-                # tokens of the one set being embedded
+                # tokens of the one row block being summarized
                 ("eval sets", ("tasks", "eval_size", "tokens", "dim"),
-                 self.tasks * self.eval_size * 2 * d + self.eval_size * row),
+                 self.tasks * self.eval_size * 2 * d
+                 + min(self.eval_size, max(1, SUMMARY_BLOCK // row)) * row),
                 ("buffer", ("buffer_size", "tokens", "dim"), self.buffer_size * row),
                 ("buffer unit-sum cache m*D", ("buffer_size", "dim"), self.buffer_size * d),
                 # the stream batches the warm-up embeds and holds for the run
@@ -172,6 +176,9 @@ class StreamConfig:
                 ("attunement cache R*N*(L_p+1)*D",
                  ("num_experts", "n_fingerprints", "fingerprint_length", "dim"),
                  r * n * (lp + 1) * d),
+                ("pre-activations of one expert group",
+                 ("num_experts", "n_fingerprints", "fingerprint_length", "dim"),
+                 group * n * lp * d),
             ]
             floats = sum(count for _, _, count in terms)
             have = _physical_memory_bytes()
@@ -501,9 +508,9 @@ def run_experiment(config):
 
     # evaluation uses clean, balanced samples from the same class geometry,
     # in an index range disjoint from any training sample. A set is a pure
-    # function of (seed, task, index), so it is embedded at its task's first
-    # checkpoint and held only as its summary: the classifier reads nothing
-    # else of it
+    # function of (seed, task, index), so it is summarized at its task's first
+    # checkpoint, in row blocks, and held only as its summary: the classifier
+    # reads nothing else of it
     eval_embedder = SyntheticEmbedder(**geometry)
     eval_base = config.dataset_size + 1_000_000
     eval_indices = np.arange(eval_base, eval_base + config.eval_size)
@@ -517,7 +524,7 @@ def run_experiment(config):
             batch = held.pop(batch_idx) if batch_idx in held else make_batch(batch_idx)
             run_batch(model, buffer, batch, timings, run_sigma)
         te = time.perf_counter()
-        eval_sets.append(eval_embedder.embed(task, eval_indices).summary())
+        eval_sets.append(eval_embedder.summarize(task, eval_indices))
         # one attunement serves every eval set of this checkpoint
         p_agg = model.attuned_pool()
         acc_rows.append([evaluate(model, eval_set, p_agg) for eval_set in eval_sets])

@@ -343,6 +343,33 @@ def test_gelu_out_must_be_a_contiguous_float64_array_of_the_input_shape():
             gelu_with_grad(x, out=bad)
 
 
+@pytest.mark.parametrize("x", in_place_cases())
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_gelu_slope_into_a_given_array_is_the_allocated_slope(x):
+    want_value, want_slope = gelu_with_grad(x)
+    grad = np.full_like(x, np.pi)
+    value, slope = gelu_with_grad(x, grad=grad)
+    assert slope is grad
+    assert_same_bits(value, want_value)
+    assert_same_bits(slope, want_slope)
+    # with the value written over the input too, as attunement calls it
+    y = x.copy()
+    value, slope = gelu_with_grad(y, out=y, grad=np.empty_like(x))
+    assert value is y
+    assert_same_bits(value, want_value)
+    assert_same_bits(slope, want_slope)
+
+
+def test_gelu_grad_must_be_a_contiguous_float64_array_of_the_input_shape():
+    x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    for bad in (np.empty((4, 3)), np.empty((3, 4), dtype=np.float32),
+                np.empty((4, 3)).T, np.empty(12)):
+        with pytest.raises(ValueError, match="grad must be"):
+            gelu_with_grad(x, grad=bad)
+        with pytest.raises(ValueError, match="grad must be"):
+            gelu_with_grad(x, out=np.empty((3, 4)), grad=bad)
+
+
 def test_engine_and_cli_import_no_scipy():
     probe = ("import sys, streamfp, streamfp.cli; "
              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")

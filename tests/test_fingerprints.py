@@ -6,7 +6,8 @@ import pytest
 from scipy.special import ndtr
 
 from oracles import gelu_grad, softmax
-from streamfp.core_math import gelu
+from streamfp import fingerprints
+from streamfp.core_math import gelu, gelu_with_grad
 from streamfp.fingerprints import (
     AttunementParams,
     FingerprintPool,
@@ -309,6 +310,48 @@ class TestAttune:
         pool, params, _ = random_case(10, 4, 32, 3, seed=32)
         expected, _ = sum_before_values(pool, params)
         assert_close_to_largest(attune(pool, params), expected)
+
+
+def all_experts_attune(pool, params):
+    """attune and its cache with every expert in one stacked matmul and
+    one GELU call, the experts' shares added to zeros in expert order."""
+    mix = gate_forward(pool, params)
+    n, lp, d = pool.weights.shape
+    pre = pool.weights.reshape(n * lp, d) @ params.keys.transpose(0, 2, 1)
+    act, slope = gelu_with_grad(pre)
+    sums = act.reshape(-1, n, lp, d).sum(axis=2) @ params.values.transpose(0, 2, 1)
+    out = np.zeros((n, d))
+    for r in range(params.num_experts):
+        out += mix[:, r, None] * sums[r]
+    return out, (mix, sums, slope.reshape(-1, n, lp, d))
+
+
+# (N, L_p, D, R) and the experts of each group attune runs: N*L_p*D
+# pre-activations per expert against an 8192-element ndtr block
+GROUPED_SHAPES = [
+    pytest.param((16, 2, 256, 3), [1, 1, 1], id="one-expert-groups"),
+    pytest.param((16, 2, 128, 3), [2, 1], id="groups-of-2-and-1"),
+    pytest.param((8, 2, 16, 3), [3], id="one-group"),
+]
+
+
+@pytest.mark.parametrize("shape,groups", GROUPED_SHAPES)
+def test_expert_groups_are_the_all_experts_attunement(shape, groups, monkeypatch):
+    pool, params, _ = random_case(*shape, seed=shape[2] + 7)
+    pool = FingerprintPool(0.02 * pool.weights)  # the pool's initial scale
+    want, want_cache = all_experts_attune(pool, params)
+    assert np.array_equal(attune(pool, params), want)
+    seen = []
+
+    def counted(x, *args, **kwargs):
+        seen.append(x.shape[0])
+        return gelu_with_grad(x, *args, **kwargs)
+
+    monkeypatch.setattr(fingerprints, "gelu_with_grad", counted)
+    out, cache = attune(pool, params, with_cache=True)
+    assert seen == groups
+    assert out.tobytes() == want.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(cache, want_cache))
 
 
 class TestFrozenWeights:

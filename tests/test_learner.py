@@ -502,6 +502,93 @@ def test_loss_gradients_holds_two_stacked_attunement_arrays():
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got[1:], want[1:]))
 
 
+def test_loss_gradients_forward_holds_one_expert_groups_pre_activations(monkeypatch):
+    # at this shape an expert's (N*L_p, D) pre-activations exceed an ndtr
+    # block, so the forward runs one expert at a time: it holds the stacked
+    # (R, N*L_p, D) GELU slope and one expert's pre-activations, with the
+    # slack of the test above (a second stacked array would exceed it)
+    n, lp, d, r = 50, 4, 256, 3
+    model = PrototypeModel.init_random(n_classes=4, dim=d, pool_count=n, pool_length=lp,
+                                       num_experts=r, rng=substream(50, "model"))
+    batch = random_batch(50, b=8, tokens=2, dim=d, n_classes=4)
+    want = loss_gradients(model, batch)
+    attune, peaks = learner.attune, []
+
+    def measured(*args, **kwargs):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = attune(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return result
+
+    monkeypatch.setattr(learner, "attune", measured)
+    tracemalloc.start()
+    try:
+        got = loss_gradients(model, batch)
+    finally:
+        tracemalloc.stop()
+    stacked, expert = 8 * r * n * lp * d, 8 * n * lp * d
+    slack = 8 * (r * n * d + 8 * n * d)
+    assert len(peaks) == 1
+    assert peaks[0] <= stacked + expert + slack, (peaks[0] - stacked - expert) / slack
+    assert got[0] == want[0]
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got[1:], want[1:]))
+
+
+class TestSummarize:
+    @pytest.mark.parametrize("n", [400, 1])
+    @pytest.mark.parametrize("fractions", [
+        pytest.param({}, id="clean"),
+        pytest.param({"outlier_fraction": 0.2, "dominant_fraction": 0.2}, id="outliers"),
+    ])
+    def test_summarize_is_the_summary_of_the_embedded_set(self, n, fractions):
+        # L*D = 3072: row blocks of 2**18 // 3072 = 85, the last of 400 short
+        emb = SyntheticEmbedder(seed=3, n_classes=10, dim=768, tokens=4, n_tasks=2, **fractions)
+        indices = np.arange(1_002_000, 1_002_000 + n)
+        got = emb.summarize(1, indices)
+        want = emb.embed(1, indices).summary()
+        for column in ("unit_sums", "means", "labels"):
+            a, b = getattr(got, column), getattr(want, column)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert got.tokens == want.tokens == 4
+
+    def test_summarize_embeds_in_row_blocks(self, monkeypatch):
+        emb = SyntheticEmbedder(seed=3, n_classes=10, dim=768, tokens=4, n_tasks=2)
+        sizes = []
+        embed = SyntheticEmbedder.embed
+
+        def counted(self, task, indices):
+            sizes.append(len(indices))
+            return embed(self, task, indices)
+
+        monkeypatch.setattr(SyntheticEmbedder, "embed", counted)
+        emb.summarize(0, np.arange(400))
+        assert sizes == [85, 85, 85, 85, 60]
+        sizes.clear()
+        # a row wider than a block is a block of its own
+        wide = SyntheticEmbedder(seed=3, n_classes=2, dim=2**17, tokens=4, n_tasks=1)
+        wide.summarize(0, np.arange(2))
+        assert sizes == [1, 1]
+
+    def test_summarize_peaks_below_the_sets_tokens(self):
+        # the summary's (n, D) columns and one block's tokens and temporaries
+        # fit below the (n, L, D) tokens that embedding the set whole holds
+        n, tokens, dim = 400, 4, 768
+        emb = SyntheticEmbedder(seed=3, n_classes=10, dim=dim, tokens=tokens, n_tasks=2)
+        indices = np.arange(1_002_000, 1_002_000 + n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            summary = emb.summarize(0, indices)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(summary) == n
+        assert peak < 8 * n * tokens * dim, peak / (8 * n * tokens * dim)
+
+
 class TestMetrics:
     def test_hand_matrix(self):
         acc = [[0.8], [0.6, 0.9], [0.5, 0.7, 0.9]]

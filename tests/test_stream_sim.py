@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from streamfp import buffer as buffer_module, core_math, learner, stream_sim
+from streamfp import buffer as buffer_module, core_math, fingerprints, learner, stream_sim
 from streamfp.learner import EmbeddingBatch, PrototypeModel, SyntheticEmbedder
 from streamfp.stream_sim import (
     CSV_COLUMNS,
@@ -247,16 +247,18 @@ class TestStreamConfigValidate:
                           f"got {MAX_WARMUP_BATCHES + 1}"]
 
     def test_memory_estimate_against_physical_memory(self, monkeypatch):
-        # paper shape: 2*R*D^2 bank, the 400 eval samples being embedded +
-        # 512 buffered + 64 in the batch + 31*64 in the 31 held warm-up
-        # batches (2000 // 64 batches, fewer than the 50 warm-up batches) of
-        # L*D floats each, the 3*400 eval summaries of 2*D floats, the
-        # buffer's 512 unit-token sums of D floats, an (N, L_p, D) pool and
-        # the R*N*(L_p+1)*D attunement cache
+        # paper shape: 2*R*D^2 bank, the 85 eval samples of one summary row
+        # block (2**18 // (L*D)) + 512 buffered + 64 in the batch + 31*64 in
+        # the 31 held warm-up batches (2000 // 64 batches, fewer than the 50
+        # warm-up batches) of L*D floats each, the 3*400 eval summaries of
+        # 2*D floats, the buffer's 512 unit-token sums of D floats, an
+        # (N, L_p, D) pool, the R*N*(L_p+1)*D attunement cache and one
+        # expert's (N, L_p, D) pre-activations (N*L_p*D exceeds an ndtr block)
         cfg = StreamConfig(dim=768, tokens=4, n_fingerprints=100, fingerprint_length=4,
                            batch_size=64, buffer_size=512, tasks=3, eval_size=400)
-        need = 8 * (2 * 3 * 768**2 + (400 + 512 + 64 + 31 * 64) * 4 * 768
-                    + 3 * 400 * 2 * 768 + 512 * 768 + 100 * 4 * 768 + 3 * 100 * 5 * 768)
+        need = 8 * (2 * 3 * 768**2 + (85 + 512 + 64 + 31 * 64) * 4 * 768
+                    + 3 * 400 * 2 * 768 + 512 * 768 + 100 * 4 * 768 + 3 * 100 * 5 * 768
+                    + 100 * 4 * 768)
         monkeypatch.setattr(stream_sim, "_physical_memory_bytes", lambda: need)
         assert cfg.validate() == []
         monkeypatch.setattr(stream_sim, "_physical_memory_bytes", lambda: need - 1)
@@ -353,6 +355,19 @@ class TestRunExperiment:
                         drift_std=0.0, eval_size=50)
         )
         assert report.avg_accuracy > 0.25 + 0.1
+
+    def test_row_blocks_and_expert_groups_change_no_output(self, monkeypatch):
+        # one expert per group (N*L_p*D = 8192, one ndtr block) and eval sets
+        # summarized in blocks of 256, 256 and 88 rows, against every expert
+        # in one group and each set in one block
+        cfg = tiny_config(dim=256, n_fingerprints=16, fingerprint_length=2, tokens=4,
+                          eval_size=600, tasks=3, dataset_size=60, n_classes=6)
+        blocked = run_experiment(cfg)
+        monkeypatch.setattr(learner, "SUMMARY_BLOCK", 600 * 4 * 256)
+        monkeypatch.setattr(fingerprints, "_NDTR_BLOCK", 3 * 8192)
+        whole = run_experiment(cfg)
+        assert blocked.acc_rows == whole.acc_rows
+        assert blocked.avg_forgetting == whole.avg_forgetting
 
     def test_pinned_timing_figures(self):
         report = run_experiment(
