@@ -38,13 +38,12 @@ class RehearsalBuffer:
 
     The store keeps one array per column, of which the first ``len(self)``
     rows are live; it grows all of them together, geometrically, so a full
-    fill copies each resident O(1) times. The writers only flag the rows
-    they wrote; ``unit_token_sums`` brings those rows of its cache up to
-    date when it is asked, by resident scoring or a mini-batch, so each
-    written row is normalized at most once."""
+    fill copies each resident O(1) times. Every write goes through
+    ``_write``, which sets every column of the rows it writes, the rows'
+    unit-token sums included, so each written row is normalized once."""
 
     # the per-resident arrays, grown together
-    _COLUMNS = ("_embeddings", "_sums", "_ids", "_labels", "_similarity", "_stale")
+    _COLUMNS = ("_embeddings", "_sums", "_ids", "_labels", "_similarity")
 
     def __init__(self, capacity):
         if capacity < 1:
@@ -53,11 +52,10 @@ class RehearsalBuffer:
         self.n_seen = 0
         self._len = 0
         self._embeddings = np.zeros((0, 0, 0))
-        self._sums = np.zeros((0, 0))  # unit_token_sums of the rows not stale
+        self._sums = np.zeros((0, 0))  # unit_token_sums of the stored rows
         self._ids = np.zeros(0, dtype=np.int64)
         self._labels = np.zeros(0, dtype=np.int64)
         self._similarity = np.zeros(0)
-        self._stale = np.zeros(0, dtype=bool)  # rows written since the last sums
 
     def __len__(self):
         return self._len
@@ -86,10 +84,6 @@ class RehearsalBuffer:
     def unit_token_sums(self):
         """The (len, D) ``core_math.unit_token_sums`` of the residents, equal
         row for row to recomputing them."""
-        stale = np.flatnonzero(self._stale[:self._len])
-        if stale.size:
-            self._sums[stale] = unit_token_sums(self._embeddings[stale])
-            self._stale[stale] = False
         return self._live(self._sums)
 
     @property
@@ -101,11 +95,11 @@ class RehearsalBuffer:
 
     def minibatch(self, size, rng):
         """The :class:`BatchSummary` of up to ``size`` residents drawn uniformly
-        without replacement, with their cached unit-token sums, or None."""
+        without replacement, with their stored unit-token sums, or None."""
         if not len(self) or size < 1:
             return None
         idx = rng.choice(len(self), size=min(size, len(self)), replace=False)
-        return BatchSummary(self.unit_token_sums()[idx], self._embeddings[idx].mean(axis=1),
+        return BatchSummary(self._sums[idx], self._embeddings[idx].mean(axis=1),
                             self._labels[idx], self._embeddings.shape[1])
 
     def _append(self, batch, similarity):
@@ -118,12 +112,8 @@ class RehearsalBuffer:
         start, end = self._len, self._len + n
         if end > self._ids.size:
             self._grow(min(self.capacity, max(end, 2 * self._ids.size)), batch.embeddings)
-        self._embeddings[start:end] = batch.embeddings[:n]
-        self._ids[start:end] = batch.sample_ids[:n]
-        self._labels[start:end] = batch.labels[:n]
-        self._similarity[start:end] = similarity[:n]
-        self._stale[start:end] = True
         self._len = end
+        self._write(slice(start, end), batch, slice(0, n), similarity)
         return n
 
     def _grow(self, rows, emb):
@@ -138,24 +128,34 @@ class RehearsalBuffer:
             new[:self._len] = old[:self._len]
             setattr(self, name, new)
 
-    def _overwrite(self, slots, batch, rows, similarity):
-        """Replace the residents in ``slots`` by the batch rows ``rows``."""
+    def _write(self, slots, batch, rows, similarity):
+        """Store the batch rows ``rows`` in ``slots``, every column of them,
+        with the unit-token sums of the rows as stored (in the store's dtype)."""
         self._embeddings[slots] = batch.embeddings[rows]
+        self._sums[slots] = unit_token_sums(self._embeddings[slots])
         self._ids[slots] = batch.sample_ids[rows]
         self._labels[slots] = batch.labels[rows]
         self._similarity[slots] = similarity[rows]
-        self._stale[slots] = True
 
 
-def _as_batch(offered):
-    """The offer as an EmbeddingBatch, stacking a BufferItem list; an empty one stores nothing."""
-    if isinstance(offered, EmbeddingBatch) or not offered:
-        return offered
-    return EmbeddingBatch(
-        np.stack([it.embedding for it in offered]),
-        np.array([it.label for it in offered], dtype=np.int64),
-        np.array([it.sample_id for it in offered], dtype=np.int64),
-    )
+def _as_batch(buffer, offered):
+    """The offer as an EmbeddingBatch, stacking a BufferItem list; an empty
+    one stores nothing. Rows whose (L, D) differ from the residents' raise
+    ValueError, before any policy writes, draws or counts them; a first
+    offer sets the (L, D)."""
+    if not isinstance(offered, EmbeddingBatch):
+        if not offered:
+            return offered
+        offered = EmbeddingBatch(
+            np.stack([it.embedding for it in offered]),
+            np.array([it.label for it in offered], dtype=np.int64),
+            np.array([it.sample_id for it in offered], dtype=np.int64),
+        )
+    stored, got = buffer._embeddings.shape[1:], offered.embeddings.shape[1:]
+    if len(buffer) and got != stored:
+        raise ValueError(f"offered rows have shape (L, D) = {got}, "
+                         f"the buffer stores rows of shape {stored}")
+    return offered
 
 
 def compute_update_count(b, m, n_seen, rng):
@@ -320,7 +320,7 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng):
         ValueError: ``s_batch`` or ``s_buffer`` has the wrong length or a
             non-finite entry; raised before any write or draw.
     """
-    batch = _as_batch(batch)
+    batch = _as_batch(buffer, batch)
     s_batch = np.asarray(s_batch, dtype=np.float64)
     b = len(batch)
     if s_batch.shape != (b,):
@@ -348,28 +348,32 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng):
             else:
                 retain = weighted_sample_without_replacement(pi_batch, nu, rng)
             drop = weighted_sample_without_replacement(1.0 - pi_buffer, nu, rng)
-            buffer._overwrite(drop, batch, fill + np.array(retain), s_batch)
+            buffer._write(drop, batch, fill + np.array(retain), s_batch)
     buffer.n_seen += b
     return buffer
 
 
 def reservoir_update(buffer, batch, rng):
-    """Classic reservoir sampling over the offered stream; unscored."""
-    batch = _as_batch(batch)
+    """Classic reservoir sampling over the offered stream; unscored. Each
+    slot drawn keeps the last row drawn for it, written once after the draws."""
+    batch = _as_batch(buffer, batch)
     s_batch = np.zeros(len(batch))
     fill = buffer._append(batch, s_batch)
     buffer.n_seen += fill
+    kept = {}  # slot -> the last batch row drawn for it
     for row in range(fill, len(batch)):
         j = int(rng.integers(0, buffer.n_seen + 1))
         if j < buffer.capacity:
-            buffer._overwrite(j, batch, row, s_batch)
+            kept[j] = row
         buffer.n_seen += 1
+    if kept:
+        buffer._write(list(kept), batch, list(kept.values()), s_batch)
     return buffer
 
 
 def keep_first_update(buffer, batch):
     """Fill-once baseline: residents are never replaced; unscored."""
-    batch = _as_batch(batch)
+    batch = _as_batch(buffer, batch)
     buffer._append(batch, np.zeros(len(batch)))
     buffer.n_seen += len(batch)
     return buffer

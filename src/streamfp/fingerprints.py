@@ -129,6 +129,13 @@ def gate_forward(pool, params):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def expert_group(n_experts, count, length, dim):
+    """How many experts :func:`attune` runs at once: as many as one ndtr
+    block of ``(count * length, dim)`` pre-activations holds, at least one
+    and at most ``n_experts``."""
+    return min(n_experts, max(1, _NDTR_BLOCK // (count * length * dim)))
+
+
 class AttuneCache(NamedTuple):
     """What :func:`attune_backward` reuses from the forward pass."""
 
@@ -157,12 +164,11 @@ def attune(pool, params, *, with_cache=False):
     n, lp, d = pool.weights.shape
     n_experts = params.num_experts
     rows, keys_t = pool.weights.reshape(n * lp, d), params.keys.transpose(0, 2, 1)
-    # the experts run in groups of at most one ndtr block of pre-activations
-    # (one expert where an expert's exceeds it), each group's activations
-    # written over them: the forward holds one group's (N*L_p, D)
-    # pre-activations, and with the cache the slope of every expert
-    group = max(1, _NDTR_BLOCK // (n * lp * d))
-    pre = np.empty((min(group, n_experts), n * lp, d))
+    # the experts run in groups (expert_group), each group's activations
+    # written over its pre-activations: the forward holds one group's
+    # (N*L_p, D) pre-activations, and with the cache the slope of every expert
+    group = expert_group(n_experts, n, lp, d)
+    pre = np.empty((group, n * lp, d))
     slope = np.empty((n_experts, n * lp, d)) if with_cache else None
     token_sums = np.empty((n_experts, n, d))
     for start in range(0, n_experts, group):

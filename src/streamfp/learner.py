@@ -42,6 +42,12 @@ STATE_BLOCK = 1024
 SUMMARY_BLOCK = 2**18
 
 
+def summary_block_rows(tokens, dim):
+    """Rows per block of ``SyntheticEmbedder.summarize``: as many (L, D)
+    rows as ``SUMMARY_BLOCK`` token floats hold, at least one."""
+    return max(1, SUMMARY_BLOCK // (tokens * dim))
+
+
 @dataclass
 class EmbeddingBatch:
     embeddings: np.ndarray  # (b, L, D)
@@ -194,7 +200,7 @@ class SyntheticEmbedder:
         go straight into the ``(n, D)`` and ``(n,)`` arrays returned, so at
         most one block of tokens is held at a time."""
         sample_indices = np.asarray(sample_indices, dtype=np.int64)
-        n, rows = sample_indices.size, max(1, SUMMARY_BLOCK // (self.tokens * self.dim))
+        n, rows = sample_indices.size, summary_block_rows(self.tokens, self.dim)
         unit_sums, means = np.empty((n, self.dim)), np.empty((n, self.dim))
         labels = np.empty(n, dtype=np.int64)
         for start in range(0, n, rows):

@@ -17,15 +17,15 @@ import numpy as np
 from .buffer import RehearsalBuffer, keep_first_update, reservoir_update, update_buffer
 from .coreset import coreset_size, select_coreset
 # batch_similarity stays importable here: perfbench wraps it at this name
-from .core_math import _NDTR_BLOCK, batch_similarity, sum_similarity  # noqa: F401
-from .fingerprints import aggregate
+from .core_math import batch_similarity, sum_similarity  # noqa: F401
+from .fingerprints import aggregate, expert_group
 from .learner import (
-    SUMMARY_BLOCK,
     PrototypeModel,
     SyntheticEmbedder,
     average_accuracy,
     average_forgetting,
     evaluate,
+    summary_block_rows,
     train_step,
 )
 from .seeding import substream
@@ -154,8 +154,6 @@ class StreamConfig:
         if not errors:
             row, r, n, lp, d = (self.tokens * self.dim, self.num_experts,
                                 self.n_fingerprints, self.fingerprint_length, self.dim)
-            # attune's expert group: as many experts as one ndtr block holds
-            group = min(r, max(1, _NDTR_BLOCK // (n * lp * d)))
             # (name, INI keys, float64 count) of each array a run holds at once
             terms = [
                 ("MLP bank 2*R*D^2", ("num_experts", "dim"), 2 * r * d * d),
@@ -163,9 +161,9 @@ class StreamConfig:
                 # tokens of the one row block being summarized
                 ("eval sets", ("tasks", "eval_size", "tokens", "dim"),
                  self.tasks * self.eval_size * 2 * d
-                 + min(self.eval_size, max(1, SUMMARY_BLOCK // row)) * row),
+                 + min(self.eval_size, summary_block_rows(self.tokens, d)) * row),
                 ("buffer", ("buffer_size", "tokens", "dim"), self.buffer_size * row),
-                ("buffer unit-sum cache m*D", ("buffer_size", "dim"), self.buffer_size * d),
+                ("buffer unit-token sums m*D", ("buffer_size", "dim"), self.buffer_size * d),
                 # the stream batches the warm-up embeds and holds for the run
                 ("held warm-up batches", ("warmup_batches", "batch_size", "tokens", "dim"),
                  0 if self.pinned_batch_time is not None
@@ -178,7 +176,7 @@ class StreamConfig:
                  r * n * (lp + 1) * d),
                 ("pre-activations of one expert group",
                  ("num_experts", "n_fingerprints", "fingerprint_length", "dim"),
-                 group * n * lp * d),
+                 expert_group(r, n, lp, d) * n * lp * d),
             ]
             floats = sum(count for _, _, count in terms)
             have = _physical_memory_bytes()
@@ -438,7 +436,7 @@ def run_experiment(config):
                 s = sum_similarity(summary.unit_sums, aggregate(model.pool), summary.tokens)
             if len(buffer):
                 # residents' embeddings never change, so their unit-token
-                # sums are cached and only the fingerprint side is new
+                # sums are stored with them and only the fingerprint side is new
                 s_buf = sum_similarity(
                     buffer.unit_token_sums(), aggregate(model.pool), config.tokens
                 )

@@ -448,7 +448,7 @@ class TestUnitTokenSumsCache:
             return scores
 
         # two fills, a straddling fill plus exchange (9 offered with 5 slots
-        # free), then full offers, each scored through the cache
+        # free), then full offers, each scored through the stored sums
         for b in (6, 5, 9, 12, 12, 7):
             batch = offer(b)
             s_buf = resident_scores() if len(buf) else np.zeros(0)
@@ -464,22 +464,39 @@ class TestUnitTokenSumsCache:
         resident_scores()
         assert buf.unit_token_sums().shape == (capacity, dim)
 
-    def test_unscored_policies_never_compute_sums(self, monkeypatch):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_writes_normalize_and_reads_do_not(self, monkeypatch, dtype):
+        # each policy's writes store the sums; reading them or drawing a
+        # mini-batch normalizes nothing, and the sums equal recomputing
+        # them from the store, also for a float32 store offered float64 rows
         calls = []
-        monkeypatch.setattr(buffer_module, "unit_token_sums",
-                            lambda emd: calls.append(len(emd)))
-        rng = substream(3, "cache-unscored")
-        for update in (lambda buf, items: reservoir_update(buf, items, rng),
-                       keep_first_update):
-            buf = RehearsalBuffer(4)
-            for ids in (range(3), range(3, 9), range(9, 15)):
-                update(buf, make_items(ids, tokens=2))
-        assert calls == []
+
+        def counting(emd):
+            calls.append(len(emd))
+            return unit_token_sums(emd)
+
+        monkeypatch.setattr(buffer_module, "unit_token_sums", counting)
+        rng = substream(5, "cache-reads")
+        for policy in ("streamfp", "reservoir", "keep_first"):
+            buf = RehearsalBuffer(6)
+            for i, batch in enumerate(offer_stream((4, 5, 7, 1, 8), tokens=3, dim=5, seed=7)):
+                if i == 0:  # the first offer sets the store's dtype
+                    batch = EmbeddingBatch(batch.embeddings.astype(dtype), batch.labels,
+                                           batch.sample_ids)
+                offer(policy, buf, batch, rng)
+                written = len(calls)
+                for _ in range(3):
+                    sums = buf.unit_token_sums()
+                    buf.minibatch(4, rng)
+                assert len(calls) == written
+                assert buf.embeddings().dtype == dtype
+                assert sums.tobytes() == unit_token_sums(buf.embeddings()).tobytes()
+        assert calls
 
 
 class TestMinibatch:
     """``RehearsalBuffer.minibatch`` summarizes the residents it draws, from
-    the cached unit-token sums, with the generator's draw of the stored
+    the stored unit-token sums, with the generator's draw of the stored
     embeddings."""
 
     @pytest.mark.parametrize("tokens", [1, 3])
@@ -487,12 +504,10 @@ class TestMinibatch:
         rng = substream(tokens, "minibatch")
         buf = RehearsalBuffer(30)
         batches = offer_stream((20, 6, 12), tokens=tokens, dim=8, seed=tokens)
+        # a fill, then a fill and exchanges
         keep_first_update(buf, next(batches))
-        buf.unit_token_sums()
-        # rows written since the sums were last read: a fill, then exchanges
         update_buffer(buf, next(batches), rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 20), rng)
         update_buffer(buf, next(batches), rng.uniform(-1, 1, 12), rng.uniform(-1, 1, 26), rng)
-        assert buf._stale[:len(buf)].any()
         for size in (5, 30, 50):
             draw, twin = np.random.default_rng(size), np.random.default_rng(size)
             got = buf.minibatch(size, draw)
@@ -750,7 +765,7 @@ class TestStoreGrowth:
     ]
 
     @staticmethod
-    def assert_holds(buf, rows, items):
+    def assert_holds(buf, rows):
         """``buf`` holds the (id, label, similarity, embedding) rows, in order."""
         ids, labels, sims, embs = zip(*rows)
         emb = np.stack(embs)
@@ -759,11 +774,10 @@ class TestStoreGrowth:
         npt.assert_array_equal(buf.similarity, sims)
         npt.assert_array_equal(buf.embeddings(), emb)
         npt.assert_array_equal(buf.unit_token_sums(), unit_token_sums(emb))
-        if items:
-            records = buf.items
-            assert [(it.sample_id, it.label, it.similarity) for it in records] == \
-                list(zip(ids, labels, sims))
-            npt.assert_array_equal(np.stack([it.embedding for it in records]), emb)
+        records = buf.items
+        assert [(it.sample_id, it.label, it.similarity) for it in records] == \
+            list(zip(ids, labels, sims))
+        npt.assert_array_equal(np.stack([it.embedding for it in records]), emb)
 
     @pytest.mark.parametrize("policy", ["streamfp", "reservoir", "keep_first"])
     @pytest.mark.parametrize("capacity, sizes", CASES, ids=["m4096-b256", "m102-b20",
@@ -771,32 +785,27 @@ class TestStoreGrowth:
     def test_readers_match_rebuilt_residents_after_every_write(
             self, monkeypatch, policy, capacity, sizes):
         rows = []  # the residents as (id, label, similarity, embedding) rows
-        append, overwrite = RehearsalBuffer._append, RehearsalBuffer._overwrite
-        # items builds a record per resident; on the large store check it
-        # after each offer rather than after each of the reservoir's writes
-        check_items = capacity < 1000
+        write = RehearsalBuffer._write
 
-        def checked_append(buf, batch, similarity):
-            n = append(buf, batch, similarity)
-            rows.extend(zip(batch.sample_ids[:n].tolist(), batch.labels[:n].tolist(),
-                            similarity[:n].tolist(), batch.embeddings[:n].copy()))
-            self.assert_holds(buf, rows, check_items)
-            return n
+        def checked_write(buf, slots, batch, batch_rows, similarity):
+            write(buf, slots, batch, batch_rows, similarity)
+            # slots and rows as index lists, whether given as slices or lists
+            slots = np.arange(buf.capacity)[slots].tolist()
+            for slot, row in zip(slots, np.arange(len(batch))[batch_rows].tolist()):
+                resident = (int(batch.sample_ids[row]), int(batch.labels[row]),
+                            float(similarity[row]), batch.embeddings[row].copy())
+                if slot == len(rows):
+                    rows.append(resident)
+                else:
+                    rows[slot] = resident
+            self.assert_holds(buf, rows)
 
-        def checked_overwrite(buf, slots, batch, batch_rows, similarity):
-            overwrite(buf, slots, batch, batch_rows, similarity)
-            for slot, row in zip(np.atleast_1d(slots).tolist(), np.atleast_1d(batch_rows).tolist()):
-                rows[slot] = (int(batch.sample_ids[row]), int(batch.labels[row]),
-                              float(similarity[row]), batch.embeddings[row].copy())
-            self.assert_holds(buf, rows, check_items)
-
-        monkeypatch.setattr(RehearsalBuffer, "_append", checked_append)
-        monkeypatch.setattr(RehearsalBuffer, "_overwrite", checked_overwrite)
+        monkeypatch.setattr(RehearsalBuffer, "_write", checked_write)
         rng = substream(capacity, f"growth-{policy}")
         buf = RehearsalBuffer(capacity)
         for batch in offer_stream(sizes):
             offer(policy, buf, batch, rng)
-            self.assert_holds(buf, rows, True)
+            self.assert_holds(buf, rows)
         assert len(buf) == capacity
 
     @pytest.mark.parametrize("capacity, b", [(4096, 256), (102, 20), (5, 8), (1, 1), (4096, 3)])
@@ -812,6 +821,103 @@ class TestStoreGrowth:
         assert len(buf) == capacity
         assert len(stores) <= max(0, math.ceil(math.log2(capacity / b))) + 1
         assert stores[-1].shape[0] == capacity
+
+
+class TestReservoirWrite:
+    """``reservoir_update`` draws row by row but writes the rows it keeps
+    once, after its draws; it must store what writing each drawn row at
+    once would."""
+
+    @staticmethod
+    def per_row_reference(rows, capacity, n_seen, batch, rng):
+        """The reservoir on a list of (id, label, embedding) residents, each
+        drawn row written when it is drawn; returns n_seen and the slots
+        drawn more than once."""
+        drawn, repeated = set(), set()
+        for row in range(len(batch)):
+            resident = (int(batch.sample_ids[row]), int(batch.labels[row]),
+                        batch.embeddings[row])
+            if len(rows) < capacity:
+                rows.append(resident)
+            else:
+                j = int(rng.integers(0, n_seen + 1))
+                if j < capacity:
+                    rows[j] = resident
+                    repeated |= {j} & drawn
+                    drawn.add(j)
+            n_seen += 1
+        return n_seen, repeated
+
+    def test_one_write_equals_per_row_writes(self, monkeypatch):
+        writes = []
+        write = RehearsalBuffer._write
+        monkeypatch.setattr(RehearsalBuffer, "_write",
+                            lambda buf, *args: writes.append(1) or write(buf, *args))
+        cases = substream(6, "reservoir-write")
+        repeats = 0
+        for capacity in range(1, 9):
+            for stream in range(5):
+                seed = int(cases.integers(2**32))
+                rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+                buf, rows, n_seen = RehearsalBuffer(capacity), [], 0
+                sizes = cases.integers(1, 3 * capacity + 1, size=6).tolist()
+                for batch in offer_stream(sizes, seed=seed):
+                    del writes[:]
+                    reservoir_update(buf, batch, rng)
+                    n_seen, repeated = self.per_row_reference(rows, capacity, n_seen, batch, twin)
+                    repeats += bool(repeated)
+                    assert len(writes) <= 2  # the fill, then the kept rows
+                    ids, labels, embs = zip(*rows)
+                    npt.assert_array_equal(buf.sample_ids, ids)
+                    npt.assert_array_equal(buf.labels, labels)
+                    npt.assert_array_equal(buf.similarity, np.zeros(len(rows)))
+                    npt.assert_array_equal(buf.embeddings(), np.stack(embs))
+                    npt.assert_array_equal(buf.unit_token_sums(), unit_token_sums(np.stack(embs)))
+                    assert buf.n_seen == n_seen
+                    assert rng.bit_generator.state == twin.bit_generator.state
+        # the streams must reach the case the single write has to get right
+        assert repeats
+
+
+class TestOfferShape:
+    """An offer whose rows' (L, D) differ from the residents' is rejected by
+    every policy before it writes, draws or counts anything; the first
+    offer sets the (L, D)."""
+
+    @pytest.mark.parametrize("policy", ["streamfp", "reservoir", "keep_first"])
+    @pytest.mark.parametrize("filled", [2, 4], ids=["room", "full"])
+    @pytest.mark.parametrize("row_shape", [(1, 4), (3, 4), (2, 1)], ids=["L1", "L3", "D1"])
+    def test_mismatched_rows_raise_and_change_nothing(self, policy, filled, row_shape):
+        rng = substream(7, "offer-shape")
+        buf = RehearsalBuffer(4)
+        keep_first_update(buf, next(offer_stream([filled], tokens=2, dim=4)))
+        before = (buf.sample_ids.copy(), buf.labels.copy(), buf.similarity.copy(),
+                  buf.embeddings().copy(), buf.unit_token_sums().copy(), buf.n_seen)
+        state = rng.bit_generator.state
+        batch = EmbeddingBatch(np.ones((3, *row_shape)), np.zeros(3, dtype=np.int64),
+                               np.arange(10, 13))
+        with pytest.raises(ValueError) as raised:
+            if policy == "streamfp":
+                update_buffer(buf, batch, np.zeros(3), np.zeros(filled), rng)
+            elif policy == "reservoir":
+                reservoir_update(buf, batch, rng)
+            else:
+                keep_first_update(buf, batch)
+        assert str(row_shape) in str(raised.value) and "(2, 4)" in str(raised.value)
+        after = (buf.sample_ids, buf.labels, buf.similarity, buf.embeddings(),
+                 buf.unit_token_sums(), buf.n_seen)
+        for was, now in zip(before, after):
+            npt.assert_array_equal(now, was)
+        assert rng.bit_generator.state == state
+
+    def test_first_offer_sets_the_shape(self):
+        buf = RehearsalBuffer(4)
+        keep_first_update(buf, [])
+        keep_first_update(buf, make_items(range(2), dim=4, tokens=3))
+        with pytest.raises(ValueError, match=r"\(2, 4\).*\(3, 4\)"):
+            keep_first_update(buf, make_items(range(2, 4), dim=4, tokens=2))
+        keep_first_update(buf, make_items(range(4, 6), dim=4, tokens=3))
+        assert buf.sample_ids.tolist() == [0, 1, 4, 5]
 
 
 class TestReadOnlyViews:

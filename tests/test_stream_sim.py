@@ -268,6 +268,32 @@ class TestStreamConfigValidate:
         monkeypatch.setattr(stream_sim, "_physical_memory_bytes", lambda: None)
         assert StreamConfig(dim=10**9).validate() == []
 
+    @pytest.mark.parametrize("patch", ["row block", "expert group"])
+    def test_memory_estimate_follows_the_allocators_block_sizes(self, monkeypatch, patch):
+        # D=256, N=16, L_p=2, 4 tokens: one expert per group (N*L_p*D is one
+        # ndtr block) and eval row blocks of 256 rows; patched, the summary
+        # holds a whole 600-row set and attune runs all 3 experts at once,
+        # and the estimate's eval-set and pre-activation terms must follow
+        cfg = StreamConfig(dim=256, n_fingerprints=16, fingerprint_length=2, tokens=4,
+                           eval_size=600, tasks=3, num_experts=3, pinned_batch_time=1e-9)
+
+        def accepted(memory):
+            monkeypatch.setattr(stream_sim, "_physical_memory_bytes", lambda: memory)
+            return cfg.validate() == []
+
+        # the estimate in bytes: the least memory the config is accepted with
+        lo, hi = 0, 2**40
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if accepted(mid) else (mid, hi)
+        if patch == "row block":
+            monkeypatch.setattr(learner, "SUMMARY_BLOCK", 600 * 4 * 256)
+            extra = (600 - 256) * 4 * 256
+        else:
+            monkeypatch.setattr(fingerprints, "_NDTR_BLOCK", 3 * 8192)
+            extra = (3 - 1) * 16 * 2 * 256
+        assert accepted(hi + 8 * extra) and not accepted(hi + 8 * extra - 1)
+
     def test_memory_estimate_counts_held_warmup_batches(self, monkeypatch):
         # the warm-up holds min(warmup_batches, batches) stream batches; a
         # pinned batch time runs no warm-up, so it holds none
@@ -524,7 +550,7 @@ class TestRowsNormalizedOnce:
     """A run normalizes each retained stream batch's tokens once, in its
     summary, and each eval set's once; training, selection and the
     post-training rescoring read those summaries. The buffer normalizes the
-    rows written into it, each at most once, in its own cache."""
+    rows written into it, each once, as it writes them."""
 
     @pytest.mark.parametrize("selector, policy", [(s, p) for s, p, *_ in GOLDEN_COMBINATIONS],
                              ids=[f"{s}-{p}" for s, p, *_ in GOLDEN_COMBINATIONS])
