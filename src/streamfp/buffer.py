@@ -40,7 +40,8 @@ class RehearsalBuffer:
     rows are live; it grows all of them together, geometrically, so a full
     fill copies each resident O(1) times. Every write goes through
     ``_write``, which sets every column of the rows it writes, the rows'
-    unit-token sums included, so each written row is normalized once."""
+    unit-token sums included: the offer's own sums when it comes with them,
+    else the rows normalized once as they are stored."""
 
     # the per-resident arrays, grown together
     _COLUMNS = ("_embeddings", "_sums", "_ids", "_labels", "_similarity")
@@ -102,7 +103,7 @@ class RehearsalBuffer:
         return BatchSummary(self._sums[idx], self._embeddings[idx].mean(axis=1),
                             self._labels[idx], self._embeddings.shape[1])
 
-    def _append(self, batch, similarity):
+    def _append(self, batch, similarity, sums):
         """Store the leading batch rows that fit in the rows after the
         residents and return how many did. Where they do not fit, every
         column moves to ``min(capacity, max(needed, 2 * rows))`` rows first."""
@@ -113,7 +114,7 @@ class RehearsalBuffer:
         if end > self._ids.size:
             self._grow(min(self.capacity, max(end, 2 * self._ids.size)), batch.embeddings)
         self._len = end
-        self._write(slice(start, end), batch, slice(0, n), similarity)
+        self._write(slice(start, end), batch, slice(0, n), similarity, sums)
         return n
 
     def _grow(self, rows, emb):
@@ -128,21 +129,28 @@ class RehearsalBuffer:
             new[:self._len] = old[:self._len]
             setattr(self, name, new)
 
-    def _write(self, slots, batch, rows, similarity):
-        """Store the batch rows ``rows`` in ``slots``, every column of them,
-        with the unit-token sums of the rows as stored (in the store's dtype)."""
-        self._embeddings[slots] = batch.embeddings[rows]
-        self._sums[slots] = unit_token_sums(self._embeddings[slots])
+    def _write(self, slots, batch, rows, similarity, sums):
+        """Store the batch rows ``rows`` in ``slots``, every column of them.
+        The unit-token sums are those of the rows as stored: ``sums[rows]``
+        when the offer comes with its (b, D) sums, each row of which depends
+        on its own sample only; else, and where the store's dtype differs
+        from the offer's, the stored rows normalized."""
+        store = self._embeddings
+        store[slots] = batch.embeddings[rows]
+        if sums is None or store.dtype != batch.embeddings.dtype:
+            self._sums[slots] = unit_token_sums(store[slots])
+        else:
+            self._sums[slots] = sums[rows]
         self._ids[slots] = batch.sample_ids[rows]
         self._labels[slots] = batch.labels[rows]
         self._similarity[slots] = similarity[rows]
 
 
-def _as_batch(buffer, offered):
+def _as_batch(buffer, offered, unit_sums):
     """The offer as an EmbeddingBatch, stacking a BufferItem list; an empty
-    one stores nothing. Rows whose (L, D) differ from the residents' raise
-    ValueError, before any policy writes, draws or counts them; a first
-    offer sets the (L, D)."""
+    one stores nothing. Rows whose (L, D) differ from the residents', or
+    ``unit_sums`` that are not (b, D), raise ValueError, before any policy
+    writes, draws or counts them; a first offer sets the (L, D)."""
     if not isinstance(offered, EmbeddingBatch):
         if not offered:
             return offered
@@ -155,6 +163,9 @@ def _as_batch(buffer, offered):
     if len(buffer) and got != stored:
         raise ValueError(f"offered rows have shape (L, D) = {got}, "
                          f"the buffer stores rows of shape {stored}")
+    if unit_sums is not None and np.shape(unit_sums) != (len(offered), got[1]):
+        raise ValueError(f"unit_sums have shape {np.shape(unit_sums)}, "
+                         f"the offer's are ({len(offered)}, {got[1]})")
     return offered
 
 
@@ -186,6 +197,12 @@ def rank_probabilities(similarity):
     lower index), so low-similarity samples get weights near 1. The
     weights sum to n - 1; they are relative preferences, not a
     distribution. A single element gets weight 0.
+
+    Distinct values have exactly one sorting permutation, so NumPy's
+    default (unstable) sort gives the stable sort's ranks, at a fraction of
+    its cost. Only where the sorted values hold an adjacent equal pair
+    (which catches +0.0 beside -0.0) or a NaN (sorted last) is the order
+    taken again with the stable sort, which breaks those ties by index.
     """
     s = np.asarray(similarity, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
@@ -193,7 +210,11 @@ def rank_probabilities(similarity):
     n = s.size
     if n == 1:
         return np.zeros(1)
-    order = np.argsort(-s, kind="stable")
+    keys = -s
+    order = np.argsort(keys)
+    ordered = keys[order]
+    if np.isnan(ordered[-1]) or np.any(ordered[1:] == ordered[:-1]):
+        order = np.argsort(keys, kind="stable")
     ranks = np.empty(n, dtype=np.float64)
     ranks[order] = np.arange(1, n + 1)
     inv = 1.0 / ranks
@@ -207,9 +228,12 @@ def weighted_sample_without_replacement(weights, k, rng):
     positive weights run out before k draws are made.
 
     Reproduces ``rng.choice(pool.size, p=w[pool] / w[pool].sum())`` over the
-    shrinking pool draw for draw, final generator state included: each
-    weighted draw consumes one ``rng.random()`` and picks what the CDF that
-    ``Generator.choice`` builds would pick, without its validation of ``p``.
+    shrinking pool draw for draw, final generator state included. Each
+    weighted draw picks what the CDF that ``Generator.choice`` builds would
+    pick with its uniform, without its validation of ``p``; the uniforms of
+    all ``min(k, positive weights)`` weighted draws come from one
+    ``rng.random(count)`` call, which yields the same doubles and leaves the
+    same generator state as one ``rng.random()`` per draw.
 
     Most draws are decided by a running prefix sum: ``prefix = cumsum(w)``
     once per call, then ``prefix[i:] -= w[i]`` after drawing ``i``, so a draw
@@ -260,35 +284,42 @@ def weighted_sample_without_replacement(weights, k, rng):
         raise ValueError(f"k must be an integer, got {k!r}") from None
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    margin = 8 * n * _EPS * prefix.item(-1)
+    total = prefix.item(-1)  # prefix[-1], stepped down as it is
+    margin = 8 * n * _EPS * total
     if margin < _TINY:
         margin = np.inf
-    removed = np.zeros(n, dtype=bool)
-    positive = int(np.count_nonzero(w))  # weighted picks are always positive
+    weighted = min(k, int(np.count_nonzero(w)))  # weighted picks are always positive
+    search, at, weight = prefix.searchsorted, prefix.item, w.item
     chosen = []
-    while len(chosen) < k and positive:
-        u = rng.random()
-        target = u * prefix.item(-1)
-        i = int(prefix.searchsorted(target, side="right"))
-        if not (i < n and prefix.item(i) - target > margin
-                and (i == 0 or target - prefix.item(i - 1) > margin)):
-            i = _exact_pick(w, removed, u)
+    for u in rng.random(weighted).tolist():
+        target = u * total
+        i = int(search(target, side="right"))
+        if not (i < n and at(i) - target > margin
+                and (i == 0 or target - at(i - 1) > margin)):
+            i = _exact_pick(w, _drawn(n, chosen), u)
         chosen.append(i)
-        removed[i] = True
-        prefix[i:] -= w.item(i)
-        positive -= 1
+        drawn_weight = weight(i)
+        prefix[i:] -= drawn_weight
+        total -= drawn_weight
     if len(chosen) < k:
         logger.warning(
             "weighted sampling ran out of positive weights; "
             "falling back to uniform for the remaining %d draw(s)",
             k - len(chosen),
         )
-        pool = np.flatnonzero(~removed)  # the remaining indices, ascending
+        pool = np.flatnonzero(~_drawn(n, chosen))  # the remaining indices, ascending
         while len(chosen) < k:
             pos = int(rng.integers(0, pool.size))
             chosen.append(int(pool[pos]))
             pool = np.delete(pool, pos)
     return chosen
+
+
+def _drawn(n, chosen):
+    """The (n,) mask of the indices ``chosen`` so far."""
+    removed = np.zeros(n, dtype=bool)
+    removed[chosen] = True
+    return removed
 
 
 def _exact_pick(w, removed, u):
@@ -302,7 +333,7 @@ def _exact_pick(w, removed, u):
     return int(pool[cdf.searchsorted(u, side="right")])
 
 
-def update_buffer(buffer, batch, s_batch, s_buffer, rng):
+def update_buffer(buffer, batch, s_batch, s_buffer, rng, unit_sums=None):
     """Offer a batch to the buffer: fill while there is room, then Retain-Drop.
 
     Args:
@@ -312,6 +343,8 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng):
         s_buffer: similarity of each current resident, (len(buffer),); may
             be empty when the buffer is empty.
         rng: generator driving the exchange-count draw and both samplings.
+        unit_sums: the offer's (b, D) ``core_math.unit_token_sums``, which
+            its written rows store; None computes them from the stored rows.
 
     Returns:
         The updated buffer (same object).
@@ -320,7 +353,7 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng):
         ValueError: ``s_batch`` or ``s_buffer`` has the wrong length or a
             non-finite entry; raised before any write or draw.
     """
-    batch = _as_batch(buffer, batch)
+    batch = _as_batch(buffer, batch, unit_sums)
     s_batch = np.asarray(s_batch, dtype=np.float64)
     b = len(batch)
     if s_batch.shape != (b,):
@@ -333,7 +366,7 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng):
             raise ValueError(f"{name} must be finite")
     n_seen_before = buffer.n_seen
 
-    fill = buffer._append(batch, s_batch)
+    fill = buffer._append(batch, s_batch, unit_sums)
     if fill < b:  # Retain-Drop exchange on the rows that did not fit
         nu = compute_update_count(b, buffer.capacity, n_seen_before, rng)
         nu = min(nu, b - fill, len(buffer))
@@ -348,33 +381,41 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng):
             else:
                 retain = weighted_sample_without_replacement(pi_batch, nu, rng)
             drop = weighted_sample_without_replacement(1.0 - pi_buffer, nu, rng)
-            buffer._write(drop, batch, fill + np.array(retain), s_batch)
+            buffer._write(np.array(drop), batch, fill + np.array(retain), s_batch, unit_sums)
     buffer.n_seen += b
     return buffer
 
 
-def reservoir_update(buffer, batch, rng):
-    """Classic reservoir sampling over the offered stream; unscored. Each
-    slot drawn keeps the last row drawn for it, written once after the draws."""
-    batch = _as_batch(buffer, batch)
+def reservoir_update(buffer, batch, rng, unit_sums=None):
+    """Classic reservoir sampling over the offered stream; unscored.
+
+    Each row that does not fit draws its slot from [0, n_seen], n_seen
+    counting the rows offered before it. All of those draws are one
+    ``rng.integers(0, n_seen + 1 + arange(rows))`` call, which yields the
+    same integers and leaves the same generator state as one call per row.
+    Each slot drawn keeps the last row drawn for it, and all of them are
+    written at once. ``unit_sums`` are the offer's, as in ``update_buffer``.
+    """
+    batch = _as_batch(buffer, batch, unit_sums)
     s_batch = np.zeros(len(batch))
-    fill = buffer._append(batch, s_batch)
+    fill = buffer._append(batch, s_batch, unit_sums)
     buffer.n_seen += fill
-    kept = {}  # slot -> the last batch row drawn for it
-    for row in range(fill, len(batch)):
-        j = int(rng.integers(0, buffer.n_seen + 1))
-        if j < buffer.capacity:
-            kept[j] = row
-        buffer.n_seen += 1
-    if kept:
-        buffer._write(list(kept), batch, list(kept.values()), s_batch)
+    rest = len(batch) - fill
+    if rest:
+        slots = rng.integers(0, buffer.n_seen + 1 + np.arange(rest))
+        buffer.n_seen += rest
+        hits = np.flatnonzero(slots < buffer.capacity)[::-1]  # the last first
+        kept, last = np.unique(slots[hits], return_index=True)
+        if kept.size:
+            buffer._write(kept, batch, fill + hits[last], s_batch, unit_sums)
     return buffer
 
 
-def keep_first_update(buffer, batch):
-    """Fill-once baseline: residents are never replaced; unscored."""
-    batch = _as_batch(buffer, batch)
-    buffer._append(batch, np.zeros(len(batch)))
+def keep_first_update(buffer, batch, unit_sums=None):
+    """Fill-once baseline: residents are never replaced; unscored.
+    ``unit_sums`` are the offer's, as in ``update_buffer``."""
+    batch = _as_batch(buffer, batch, unit_sums)
+    buffer._append(batch, np.zeros(len(batch)), unit_sums)
     buffer.n_seen += len(batch)
     return buffer
 

@@ -35,6 +35,8 @@ BUFFER_POLICIES = ("streamfp", "reservoir", "keep_first", "none")
 SKIP_MODES = ("skip_batches", "lower_ratio")
 # the most warm-up batches a run may time; each one runs a full batch
 MAX_WARMUP_BATCHES = 10_000
+# the most gradient steps (K) a run may take per retained batch
+MAX_GRAD_STEPS = 1_000
 
 # the metrics CSV: each column and its text, from (report, config)
 _CSV_TABLE = (
@@ -65,6 +67,7 @@ _RULES = {
     "in [0, 1)": lambda v: 0 <= v < 1,
     "even and >= 2": lambda v: v >= 2 and v % 2 == 0,
     f"in [1, {MAX_WARMUP_BATCHES}]": lambda v: 1 <= v <= MAX_WARMUP_BATCHES,
+    f"in [1, {MAX_GRAD_STEPS}]": lambda v: 1 <= v <= MAX_GRAD_STEPS,
 }
 
 
@@ -90,7 +93,7 @@ class StreamConfig:
     class_order: int = _key("stream", "class_order", 1, ">= 0")
     sigma: float = _key("stream", "sigma", 0.5, "in (0, 1]")
     buffer_size: int = _key("stream", "buffer_size", 102, ">= 1")
-    grad_steps: int = _key("stream", "K", 1, ">= 1")
+    grad_steps: int = _key("stream", "K", 1, f"in [1, {MAX_GRAD_STEPS}]")
     seed: int = _key("stream", "seed", 1, ">= 0", required=True)
     selector: str = _key("stream", "selector", "streamfp", SELECTORS)
     buffer_policy: str = _key("stream", "buffer_policy", "streamfp", BUFFER_POLICIES)
@@ -435,18 +438,19 @@ def run_experiment(config):
             if s is None:
                 s = sum_similarity(summary.unit_sums, aggregate(model.pool), summary.tokens)
             if len(buffer):
-                # residents' embeddings never change, so their unit-token
-                # sums are stored with them and only the fingerprint side is new
+                # residents' embeddings never change, and the buffer stores
+                # the unit-token sums of each batch's summary with them, so
+                # only the fingerprint side is new
                 s_buf = sum_similarity(
                     buffer.unit_token_sums(), aggregate(model.pool), config.tokens
                 )
             else:
                 s_buf = np.zeros(0)
-            update_buffer(buffer, batch, s, s_buf, buf_rng)
+            update_buffer(buffer, batch, s, s_buf, buf_rng, summary.unit_sums)
         elif config.buffer_policy == "reservoir":
-            reservoir_update(buffer, batch, buf_rng)
+            reservoir_update(buffer, batch, buf_rng, summary.unit_sums)
         elif config.buffer_policy == "keep_first":
-            keep_first_update(buffer, batch)
+            keep_first_update(buffer, batch, summary.unit_sums)
         t3 = time.perf_counter()
         timings["selection"] += t1 - t0
         timings["train"] += t2 - t1

@@ -117,6 +117,81 @@ class TestRankProbabilities:
             rank_probabilities(np.array([]))
 
 
+def stable_rank_probabilities(similarity):
+    """``rank_probabilities`` by its definition: ranks from the stable
+    descending sort, so tied values rank in index order."""
+    s = np.asarray(similarity, dtype=np.float64)
+    if s.size == 1:
+        return np.zeros(1)
+    ranks = np.empty(s.size)
+    ranks[np.argsort(-s, kind="stable")] = np.arange(1, s.size + 1)
+    inv = 1.0 / ranks
+    return 1.0 - inv / inv.sum()
+
+
+def tied_vector(kind, n, rng):
+    """A length-n similarity vector with ties of the given kind among
+    continuous values."""
+    s = rng.uniform(-1, 1, size=n)
+    picks = rng.uniform(size=n)
+    if kind == "repeats":
+        s[picks < 0.5] = rng.choice([-0.5, 0.0, 0.25, 0.75], size=n)[picks < 0.5]
+    elif kind == "signed-zeros":
+        s[picks < 0.5] = rng.choice([0.0, -0.0], size=n)[picks < 0.5]
+    elif kind == "one-nan":
+        s[int(rng.integers(n))] = np.nan
+    elif kind == "nans":
+        s[picks < 0.1] = np.nan
+    elif kind == "all-equal":
+        s[:] = 0.5
+    return s
+
+
+@pytest.fixture
+def argsort_kinds(monkeypatch):
+    """The ``kind`` of every ``np.argsort`` call, None for the default sort."""
+    kinds = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    return kinds
+
+
+class TestRankProbabilitiesMatchTheStableSort:
+    """``rank_probabilities`` orders with NumPy's default sort and takes the
+    stable sort only where ties or NaNs let the two orders differ; its bits
+    must be the stable sort's on every kind of vector."""
+
+    @pytest.mark.parametrize("n", [1, 2, 256, 4352])
+    def test_distinct_values(self, n):
+        rng = substream(n, "ranks-distinct")
+        for _ in range(5):
+            s = rng.uniform(-1, 1, size=n)
+            assert rank_probabilities(s).tobytes() == stable_rank_probabilities(s).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 17, 256, 4352])
+    @pytest.mark.parametrize("kind", ["repeats", "signed-zeros", "one-nan", "nans",
+                                      "all-equal"])
+    def test_ties_and_nans(self, kind, n):
+        rng = substream(n, "ranks-" + kind)
+        for _ in range(5):
+            s = tied_vector(kind, n, rng)
+            assert rank_probabilities(s).tobytes() == stable_rank_probabilities(s).tobytes()
+
+    def test_continuous_similarities_skip_the_stable_sort(self, argsort_kinds):
+        # the fallback is only for ties: distinct values sort once, unstably,
+        # and a tied vector sorts again with the stable sort
+        rng = substream(3, "ranks-spy")
+        rank_probabilities(rng.uniform(-1, 1, size=4352))
+        assert argsort_kinds == [None]
+        rank_probabilities(tied_vector("signed-zeros", 4352, rng))
+        assert argsort_kinds == [None, None, "stable"]
+
+
 class TestWeightedSampling:
     def test_exhaustion(self):
         rng = substream(1, "sample")
@@ -248,18 +323,55 @@ class TestSamplerMatchesChoice:
         assert rng.bit_generator.state == before
 
 
+class TestBatchedDrawsMatchScalarDraws:
+    """The sampler draws its uniforms, and the reservoir its slots, with one
+    generator call each. That reproduces the one-call-per-draw code only
+    while NumPy yields the same values, and leaves the same state, as the
+    scalar calls did; a NumPy that does not must fail here."""
+
+    # starts of 80 consecutive bounds; some runs cross the 2**32 bound,
+    # where NumPy switches from 32-bit to 64-bit draws
+    STARTS = (1, 2, 1000, 2**31, 2**32 - 40, 2**32, 2**40)
+
+    @pytest.mark.parametrize("prefix", [0, 1], ids=["fresh", "after-a-32-bit-draw"])
+    def test_random_vector_equals_scalar_calls(self, prefix):
+        for m in (0, 1, 2, 7, 128, 1000):
+            got, want = substream(m, "batched-random"), substream(m, "batched-random")
+            for g in (got, want):
+                g.integers(0, 5, size=prefix)
+            assert got.random(m).tolist() == [want.random() for _ in range(m)]
+            assert got.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("prefix", [0, 1], ids=["fresh", "after-a-32-bit-draw"])
+    @pytest.mark.parametrize("start", STARTS)
+    def test_integers_with_a_vector_of_bounds_equal_scalar_calls(self, start, prefix):
+        got, want = substream(start, "batched-integers"), substream(start, "batched-integers")
+        for g in (got, want):
+            g.integers(0, 5, size=prefix)
+        highs = start + np.arange(80)
+        assert got.integers(0, highs).tolist() == \
+            [int(want.integers(0, int(h))) for h in highs]
+        assert got.bit_generator.state == want.bit_generator.state
+
+
 class Scripted(np.random.Generator):
-    """A generator whose ``random()`` returns the scripted uniforms in order;
-    ``Generator.choice`` draws its uniform through ``self.random``, so the
-    oracle and the sampler see the same values. Its other draws are PCG64's."""
+    """A generator whose ``random()`` returns the scripted uniforms in order,
+    and whose ``random(size)`` returns the next ``size`` of them, as
+    ``Generator.random`` returns successive uniforms; ``Generator.choice``
+    draws its uniform through ``self.random``, so the oracle and the sampler
+    see the same values. Its other draws are PCG64's."""
 
     def __init__(self, uniforms, seed=0):
         super().__init__(np.random.PCG64(seed))
         self._uniforms = list(uniforms)
 
     def random(self, size=None, dtype=np.float64, out=None):
-        u = self._uniforms.pop(0)
-        return u if size is None else np.full(size, u)
+        if size is None:
+            return self._uniforms.pop(0)
+        count = int(np.prod(size))
+        taken, self._uniforms[:count] = self._uniforms[:count], []
+        assert len(taken) == count, "script ran out of uniforms"
+        return np.array(taken, dtype=np.float64).reshape(size)
 
 
 def choice_cdf(w):
@@ -418,6 +530,21 @@ class TestCertifiedDraw:
                 rank_probabilities(rng.uniform(-1, 1, size=256)), 128, rng)
             weighted_sample_without_replacement(replay_weights(rng), 128, rng)
         assert exact_picks == []
+
+    def test_replay_exchanges_never_take_the_stable_sort(self, argsort_kinds):
+        # the perf guard for the rank weights, free of timing: ten
+        # replay-shaped exchanges (m=4096, b=256, L=2, D=64) with continuous
+        # similarities sort every rank vector once, with the default sort
+        rng = substream(20, "replay-ranks")
+        p_agg = rng.standard_normal((8, 64))
+        buf = RehearsalBuffer(4096)
+        for batch in offer_stream([256] * 16, tokens=2, dim=64, seed=20):
+            keep_first_update(buf, batch)
+        for batch in offer_stream([256] * 10, tokens=2, dim=64, seed=21):
+            sums = batch.summary().unit_sums
+            update_buffer(buf, batch, sum_similarity(sums, p_agg, 2),
+                          sum_similarity(buf.unit_token_sums(), p_agg, 2), rng, sums)
+        assert argsort_kinds == [None] * 20
 
 
 class TestUnitTokenSumsCache:
@@ -787,8 +914,8 @@ class TestStoreGrowth:
         rows = []  # the residents as (id, label, similarity, embedding) rows
         write = RehearsalBuffer._write
 
-        def checked_write(buf, slots, batch, batch_rows, similarity):
-            write(buf, slots, batch, batch_rows, similarity)
+        def checked_write(buf, slots, batch, batch_rows, similarity, sums):
+            write(buf, slots, batch, batch_rows, similarity, sums)
             # slots and rows as index lists, whether given as slices or lists
             slots = np.arange(buf.capacity)[slots].tolist()
             for slot, row in zip(slots, np.arange(len(batch))[batch_rows].tolist()):
@@ -877,6 +1004,99 @@ class TestReservoirWrite:
                     assert rng.bit_generator.state == twin.bit_generator.state
         # the streams must reach the case the single write has to get right
         assert repeats
+
+
+    def test_draws_past_2_32_seen_equal_per_row_draws(self):
+        # n_seen crosses the 2**32 bound inside one offer's draws
+        for capacity in (1, 8):
+            rng, twin = substream(capacity, "reservoir-2-32"), substream(capacity, "reservoir-2-32")
+            buf, rows = RehearsalBuffer(capacity), []
+            stream = offer_stream([capacity] + [40] * 3, seed=capacity)
+            first = next(stream)
+            reservoir_update(buf, first, rng)
+            n_seen, _ = self.per_row_reference(rows, capacity, 0, first, twin)
+            buf.n_seen = n_seen = 2**32 - 50
+            for batch in stream:
+                reservoir_update(buf, batch, rng)
+                n_seen, _ = self.per_row_reference(rows, capacity, n_seen, batch, twin)
+                npt.assert_array_equal(buf.sample_ids, [row[0] for row in rows])
+                assert buf.n_seen == n_seen
+                assert rng.bit_generator.state == twin.bit_generator.state
+            assert n_seen > 2**32
+
+
+class TestOfferSums:
+    """A policy given the offer's unit-token sums stores them in place of
+    normalizing the rows it writes: the same bits, the same draws."""
+
+    @staticmethod
+    def columns(buf):
+        return (buf.sample_ids.tobytes(), buf.labels.tobytes(), buf.similarity.tobytes(),
+                buf.embeddings().tobytes(), buf.unit_token_sums().tobytes(), buf.n_seen)
+
+    @pytest.mark.parametrize("policy", ["streamfp", "reservoir", "keep_first"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_offered_sums_equal_normalizing_the_stored_rows(self, monkeypatch, policy, dtype):
+        # a float32 store offered float64 rows stores rounded rows, whose
+        # sums are not the offer's: only those writes normalize
+        calls = []
+
+        def counting(emd):
+            calls.append(len(emd))
+            return unit_token_sums(emd)
+
+        monkeypatch.setattr(buffer_module, "unit_token_sums", counting)
+        rng, twin = substream(8, "offer-sums"), substream(8, "offer-sums")
+        scores = substream(8, "offer-sums-scores")
+        given, plain = RehearsalBuffer(6), RehearsalBuffer(6)
+        normalized = []  # rows normalized by each offer that came with its sums
+        for i, batch in enumerate(offer_stream((4, 5, 7, 1, 8, 9), tokens=3, dim=5, seed=8)):
+            if i == 0:  # the first offer sets the store's dtype
+                batch = EmbeddingBatch(batch.embeddings.astype(dtype), batch.labels,
+                                       batch.sample_ids)
+            sums = batch.summary().unit_sums
+            del calls[:]
+            if policy == "streamfp":
+                s_batch = scores.uniform(-1, 1, size=len(batch))
+                s_buf = scores.uniform(-1, 1, size=len(given))
+                update_buffer(given, batch, s_batch, s_buf, rng, sums)
+                normalized.append(sum(calls))
+                update_buffer(plain, batch, s_batch, s_buf, twin)
+            elif policy == "reservoir":
+                reservoir_update(given, batch, rng, sums)
+                normalized.append(sum(calls))
+                reservoir_update(plain, batch, twin)
+            else:
+                keep_first_update(given, batch, sums)
+                normalized.append(sum(calls))
+                keep_first_update(plain, batch)
+            assert self.columns(given) == self.columns(plain)
+            assert given.unit_token_sums().tobytes() == \
+                unit_token_sums(given.embeddings()).tobytes()
+            assert rng.bit_generator.state == twin.bit_generator.state
+        assert normalized[0] == 0
+        if dtype == np.float64:
+            assert normalized == [0] * 6
+        else:
+            assert sum(normalized) > 0
+
+    @pytest.mark.parametrize("policy", ["streamfp", "reservoir", "keep_first"])
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 4), (4,)])
+    def test_sums_of_the_wrong_shape_raise_and_change_nothing(self, policy, shape):
+        rng = substream(9, "offer-sums-shape")
+        buf = RehearsalBuffer(4)
+        keep_first_update(buf, next(offer_stream([2], tokens=2, dim=5)))
+        before, state = self.columns(buf), rng.bit_generator.state
+        batch = next(offer_stream([4], tokens=2, dim=5, seed=1))
+        with pytest.raises(ValueError, match="unit_sums"):
+            if policy == "streamfp":
+                update_buffer(buf, batch, np.zeros(4), np.zeros(2), rng, np.zeros(shape))
+            elif policy == "reservoir":
+                reservoir_update(buf, batch, rng, np.zeros(shape))
+            else:
+                keep_first_update(buf, batch, np.zeros(shape))
+        assert self.columns(buf) == before
+        assert rng.bit_generator.state == state
 
 
 class TestOfferShape:

@@ -215,6 +215,22 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         assert f"`{key}`" in capsys.readouterr().err
 
+    def test_unbounded_grad_steps_exit_2_without_a_traceback(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # 10**12 gradient steps per batch would run for days; the range rule
+        # rejects them before the run starts
+        def started(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_experiment", started)
+        path = tmp_path / "run.ini"
+        write_minimal_config(path)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")]
+                    + FAST_OVERRIDES + ["--override", "K=1000000000000"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "`K`" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("manifest, key", [
         ([FAST_CONFIG], "config"),
         ({"config": [FAST_CONFIG]}, "config"),

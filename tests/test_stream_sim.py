@@ -8,6 +8,7 @@ from streamfp import buffer as buffer_module, core_math, fingerprints, learner, 
 from streamfp.learner import EmbeddingBatch, PrototypeModel, SyntheticEmbedder
 from streamfp.stream_sim import (
     CSV_COLUMNS,
+    MAX_GRAD_STEPS,
     MAX_WARMUP_BATCHES,
     StreamConfig,
     class_order_permutation,
@@ -245,6 +246,12 @@ class TestStreamConfigValidate:
         errors = StreamConfig(warmup_batches=MAX_WARMUP_BATCHES + 1).validate()
         assert errors == [f"key `warmup_batches`: must be in [1, {MAX_WARMUP_BATCHES}], "
                           f"got {MAX_WARMUP_BATCHES + 1}"]
+
+    def test_grad_steps_bound(self):
+        assert StreamConfig(grad_steps=MAX_GRAD_STEPS).validate() == []
+        for bad in (0, MAX_GRAD_STEPS + 1, 10**12):
+            assert StreamConfig(grad_steps=bad).validate() == [
+                f"key `K` (grad_steps): must be in [1, {MAX_GRAD_STEPS}], got {bad}"]
 
     def test_memory_estimate_against_physical_memory(self, monkeypatch):
         # paper shape: 2*R*D^2 bank, the 85 eval samples of one summary row
@@ -548,9 +555,10 @@ class TestSelectorBufferGolden:
 
 class TestRowsNormalizedOnce:
     """A run normalizes each retained stream batch's tokens once, in its
-    summary, and each eval set's once; training, selection and the
-    post-training rescoring read those summaries. The buffer normalizes the
-    rows written into it, each once, as it writes them."""
+    summary, and each eval set's once; training, selection, the
+    post-training rescoring and the buffer read those summaries. The buffer
+    stores the unit-token sums of the summary with the rows it writes, so it
+    normalizes nothing."""
 
     @pytest.mark.parametrize("selector, policy", [(s, p) for s, p, *_ in GOLDEN_COMBINATIONS],
                              ids=[f"{s}-{p}" for s, p, *_ in GOLDEN_COMBINATIONS])
@@ -573,10 +581,7 @@ class TestRowsNormalizedOnce:
         report = run_experiment(cfg)
         assert report.retained_batches == 5
         assert rows["engine"] == 5 * cfg.batch_size + cfg.tasks * cfg.eval_size
-        if policy == "none":
-            assert rows["buffer"] == 0
-        else:
-            assert 0 < rows["buffer"] <= 5 * cfg.batch_size
+        assert rows["buffer"] == 0
 
 
 class TestMetricsCsv:
