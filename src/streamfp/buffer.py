@@ -8,6 +8,7 @@ The reservoir and keep-first baselines differ only in that exchange.
 """
 
 import logging
+import math
 import operator
 from dataclasses import dataclass
 
@@ -100,8 +101,10 @@ class RehearsalBuffer:
         if not len(self) or size < 1:
             return None
         idx = rng.choice(len(self), size=min(size, len(self)), replace=False)
-        return BatchSummary(self._sums[idx], self._embeddings[idx].mean(axis=1),
-                            self._labels[idx], self._embeddings.shape[1])
+        tokens = self._embeddings.shape[1]
+        # the token means as ndarray.mean computes them, without its wrapper
+        return BatchSummary(self._sums[idx], self._embeddings[idx].sum(axis=1) / tokens,
+                            self._labels[idx], tokens)
 
     def _append(self, batch, similarity, sums):
         """Store the leading batch rows that fit in the rows after the
@@ -213,7 +216,7 @@ def rank_probabilities(similarity):
     keys = -s
     order = np.argsort(keys)
     ordered = keys[order]
-    if np.isnan(ordered[-1]) or np.any(ordered[1:] == ordered[:-1]):
+    if math.isnan(ordered.item(-1)) or (ordered[1:] == ordered[:-1]).any():
         order = np.argsort(keys, kind="stable")
     ranks = np.empty(n, dtype=np.float64)
     ranks[order] = np.arange(1, n + 1)
@@ -268,9 +271,9 @@ def weighted_sample_without_replacement(weights, k, rng):
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty vector")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
-    if np.any(w < 0):
+    if (w < 0).any():
         raise ValueError("weights must be non-negative")
     with np.errstate(over="ignore"):
         finite_total = np.isfinite(w.sum())
@@ -362,7 +365,7 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng, unit_sums=None):
     if s_resident.shape != (len(buffer),):
         raise ValueError("s_buffer length must match the buffer contents")
     for name, s in (("s_batch", s_batch), ("s_buffer", s_resident)):
-        if not np.all(np.isfinite(s)):
+        if not np.isfinite(s).all():
             raise ValueError(f"{name} must be finite")
     n_seen_before = buffer.n_seen
 

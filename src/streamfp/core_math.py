@@ -29,6 +29,8 @@ _S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605
       1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
 _MAXLOG = 7.09782712893383996843E2
 _SQRT1_2 = 0.70710678118654752440
+# the normal density's denominator; the same bits as np.sqrt(2.0 * np.pi)
+_SQRT_2PI = math.sqrt(2 * math.pi)
 # elements per ndtr block: the block's temporaries stay in cache
 _NDTR_BLOCK = 8192
 
@@ -39,7 +41,7 @@ def l2_normalize(v):
     A zero vector maps to the zero vector rather than NaN.
     """
     v = np.asarray(v, dtype=np.float64)
-    norm = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+    norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))
     return v / (norm + NORM_EPS)
 
 
@@ -184,7 +186,7 @@ def _gelu_blocks(x, out, grad):
             np.multiply(-0.5, xb, out=g)
             g *= xb
             np.exp(g, out=g)
-            g /= np.sqrt(2.0 * np.pi)
+            g /= _SQRT_2PI
             g *= xb
             g += phi
         np.multiply(phi, xb, out=flat_out[start:stop])

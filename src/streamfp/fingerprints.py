@@ -123,7 +123,8 @@ def gate_forward(pool, params):
     softmaxed in expert order, so column r is expert r's weight and each
     row sums to 1.
     """
-    pooled = pool.weights.mean(axis=1)  # (N, D)
+    # the mean as ndarray.mean computes it, without its Python wrapper
+    pooled = pool.weights.sum(axis=1) / pool.length  # (N, D)
     scores = pooled @ params.gate  # (N, R)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
@@ -214,27 +215,34 @@ def attune_backward(pool, params, upstream, cache):
         )
     mix, sums, slope = cache
     n, n_experts = mix.shape
-    lp = pool.length
+    lp, d = pool.length, pool.dim
 
     # gate path: dL/dmix[n, r] = <upstream[n], sums[r, n]>, then the
     # softmax Jacobian per row
     dmix = np.einsum("nd,rnd->nr", upstream, sums)
-    dscores = mix * (dmix - np.sum(mix * dmix, axis=1, keepdims=True))
+    dscores = mix * (dmix - (mix * dmix).sum(axis=1, keepdims=True))
 
-    pooled = pool.weights.mean(axis=1)  # (N, D)
+    pooled = pool.weights.sum(axis=1) / lp  # (N, D), gate_forward's mean
     grad_gate = pooled.T @ dscores  # (D, R)
     grad_pool = np.repeat((dscores @ params.gate.T)[:, None, :] / lp, lp, axis=1)
 
     # token path: dL/d gelu(h) is the same for every token of a fingerprint.
-    # One expert at a time, the same GEMMs as stacked matmuls, through two
-    # reused (N, L_p, D) buffers; the cache is only read
-    d_pre = np.empty(pool.weights.shape)
-    token_grads = np.empty(pool.weights.shape)
-    d_pre_rows, grad_rows = d_pre.reshape(n * lp, -1), token_grads.reshape(n * lp, -1)
-    for r in range(n_experts):
-        d_act = upstream @ params.values[r]  # (N, D)
-        np.multiply(d_act[:, None, :], slope[r], out=d_pre)
-        np.matmul(d_pre_rows, params.keys[r], out=grad_rows)
-        token_grads *= mix[:, r, None, None]
-        grad_pool += token_grads
+    # The experts run in attune's groups, each group's GEMMs as stacked
+    # matmuls through two reused (g, N*L_p, D) buffers (one expert at a time
+    # at the paper shape); the group's experts are then added in expert
+    # order, and the cache is only read
+    group = expert_group(n_experts, n, lp, d)
+    d_pre = np.empty((group, n, lp, d))
+    token_grads = np.empty((group, n * lp, d))
+    mix_t = mix.T[:, :, None, None]
+    for start in range(0, n_experts, group):
+        stop = min(start + group, n_experts)
+        g = stop - start
+        d_act = upstream @ params.values[start:stop]  # (g, N, D)
+        np.multiply(d_act[:, :, None, :], slope[start:stop], out=d_pre[:g])
+        np.matmul(d_pre[:g].reshape(g, n * lp, d), params.keys[start:stop], out=token_grads[:g])
+        grads = token_grads[:g].reshape(g, n, lp, d)
+        grads *= mix_t[start:stop]
+        for grad in grads:
+            grad_pool += grad
     return grad_pool, grad_gate

@@ -17,7 +17,6 @@ from .core_math import (  # noqa: F401
     NORM_EPS,
     batch_similarity,
     l2_normalize,
-    sum_similarity,
     unit_token_sums,
 )
 from .fingerprints import (
@@ -59,9 +58,10 @@ class EmbeddingBatch:
 
     def summary(self):
         """The :class:`BatchSummary` of this batch."""
-        return BatchSummary(
-            unit_token_sums(self.embeddings), self.embeddings.mean(axis=1),
-            self.labels, self.embeddings.shape[1])
+        tokens = self.embeddings.shape[1]
+        # the token means as ndarray.mean computes them, without its wrapper
+        return BatchSummary(unit_token_sums(self.embeddings),
+                            self.embeddings.sum(axis=1) / tokens, self.labels, tokens)
 
 
 @dataclass
@@ -227,18 +227,16 @@ class SyntheticEmbedder:
         scale = np.full(b, self.noise_std)
         outlier = np.zeros(b, dtype=bool)
         rngs = state_generators(self._sample_states(task, sample_indices))
+        outlier_fraction, dominant_fraction = self.outlier_fraction, self.dominant_fraction
         # only the draws, in their fixed per-sample order, stay in the loop;
         # each row's noise goes straight into emb[j]
         for j, rng in enumerate(rngs):
-            if self.outlier_fraction > 0 and rng.random() < self.outlier_fraction:
+            if outlier_fraction > 0 and rng.random() < outlier_fraction:
                 rng.standard_normal(out=emb[j])
                 labels[j] = rng.integers(0, self.n_classes)
                 scale[j] = self.outlier_scale
                 outlier[j] = True
-            elif (
-                self.dominant_fraction > 0
-                and rng.random() < self.dominant_fraction
-            ):
+            elif dominant_fraction > 0 and rng.random() < dominant_fraction:
                 # near-duplicate of the task's first class: a dominant
                 # clip repeated across the stream with tiny jitter
                 rng.standard_normal(out=emb[j])
@@ -305,29 +303,39 @@ def _cross_entropy(logits, labels):
     shifted = logits - logits.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1))
     nll = logz - shifted[np.arange(len(labels)), labels]
-    return float(nll.mean())
+    return float(nll.sum() / nll.size)  # ndarray.mean's operations
 
 
 def _checked_labels(model, batch):
     """The batch labels as int64; any outside the prototype set raises
     ``ValueError`` (a -1 would otherwise index the last class)."""
     labels = np.asarray(batch.labels, dtype=np.int64)
-    if np.any(labels < 0) or np.any(labels >= model.prototypes.shape[0]):
+    if (labels < 0).any() or (labels >= model.prototypes.shape[0]).any():
         raise ValueError("label out of range for the prototype set")
     return labels
 
 
-def _features(model, summary, p_agg):
+def _features(model, summary, p_sum):
     """The classifier's features and logits of a summarized batch.
 
     Per-sample feature = token-mean embedding scaled by (1 + S), where S
-    is the mean cosine similarity to the attuned fingerprints ``p_agg``;
-    this is the differentiable coupling that lets the fingerprints and
-    gate train.
+    is the mean cosine similarity to the attuned fingerprints: the
+    ``sum_similarity`` of the batch against the model's N fingerprints,
+    from ``p_sum``, the sum of the unit-normalized attuned fingerprints
+    (:func:`_unit_pool_sum`). This is the differentiable coupling that lets
+    the fingerprints and gate train.
     """
-    s = sum_similarity(summary.unit_sums, p_agg, summary.tokens)
+    s = summary.unit_sums @ p_sum / (summary.tokens * model.pool.count)
     feat = summary.means * (1.0 + s)[:, None]
     return feat, feat @ model.prototypes.T
+
+
+def _unit_pool_sum(model, p_agg):
+    """``l2_normalize(p_agg).sum(axis=0)`` of the attuned fingerprints
+    ``p_agg``, ``model.attuned_pool()`` when None."""
+    if p_agg is None:
+        p_agg = model.attuned_pool()
+    return l2_normalize(p_agg).sum(axis=0)
 
 
 def forward_loss(model, batch, p_agg=None):
@@ -338,9 +346,7 @@ def forward_loss(model, batch, p_agg=None):
     """
     summary = batch.summary()
     labels = _checked_labels(model, summary)
-    if p_agg is None:
-        p_agg = model.attuned_pool()
-    _, logits = _features(model, summary, p_agg)
+    _, logits = _features(model, summary, _unit_pool_sum(model, p_agg))
     return _cross_entropy(logits, labels), logits
 
 
@@ -351,15 +357,20 @@ def loss_gradients(model, batch):
     bsz, tokens = len(summary), summary.tokens
     p_agg, cache = attune(model.pool, model.attn, with_cache=True)
     e_sum, pooled = summary.unit_sums, summary.means  # (b, D) each
-    feat, logits = _features(model, summary, p_agg)
+    # the pool normalized once, as l2_normalize does it: its norms and
+    # scales serve both the features and the Jacobian below
+    norms = np.sqrt((p_agg * p_agg).sum(axis=1))
+    scale = norms + NORM_EPS
+    feat, logits = _features(model, summary, (p_agg / scale[:, None]).sum(axis=0))
 
     shifted = logits - logits.max(axis=1, keepdims=True)
     dlogits = np.exp(shifted)
     exp_sums = dlogits.sum(axis=1, keepdims=True)
+    picked = (np.arange(bsz), labels)  # each row's label entry
     # _cross_entropy's reduction, from the same exp sums
-    loss = float((np.log(exp_sums[:, 0]) - shifted[np.arange(bsz), labels]).mean())
+    loss = float((np.log(exp_sums[:, 0]) - shifted[picked]).sum() / bsz)
     dlogits /= exp_sums  # the softmax
-    dlogits[np.arange(bsz), labels] -= 1.0
+    dlogits[picked] -= 1.0
     dlogits /= bsz
 
     grad_proto = dlogits.T @ feat
@@ -370,8 +381,6 @@ def loss_gradients(model, batch):
     # fingerprint side is a parameter. Exact Jacobian of p / (|p| + eps).
     n_fp = p_agg.shape[0]
     q = (ds[:, None] * e_sum).sum(axis=0) / (tokens * n_fp)  # (D,)
-    norms = np.sqrt((p_agg * p_agg).sum(axis=1))
-    scale = norms + NORM_EPS
     # J v = v/s - p (p.v) / (|p| s^2), rows of p_agg independently
     pv = p_agg @ q
     d_p_agg = q[None, :] / scale[:, None] - p_agg * (
@@ -410,7 +419,9 @@ def evaluate(model, batch, p_agg=None):
     """
     if len(batch) == 0:
         raise ValueError("empty evaluation set")
-    _, logits = forward_loss(model, batch, p_agg)
+    summary = batch.summary()
+    _checked_labels(model, summary)
+    _, logits = _features(model, summary, _unit_pool_sum(model, p_agg))
     pred = logits.argmax(axis=1)
     return float(np.mean(pred == batch.labels))
 

@@ -37,6 +37,9 @@ SKIP_MODES = ("skip_batches", "lower_ratio")
 MAX_WARMUP_BATCHES = 10_000
 # the most gradient steps (K) a run may take per retained batch
 MAX_GRAD_STEPS = 1_000
+# the most frozen MLP experts a model may hold; each one is two (D, D)
+# matrices drawn at start-up and run in every attunement
+MAX_EXPERTS = 1_000
 
 # the metrics CSV: each column and its text, from (report, config)
 _CSV_TABLE = (
@@ -68,6 +71,8 @@ _RULES = {
     "even and >= 2": lambda v: v >= 2 and v % 2 == 0,
     f"in [1, {MAX_WARMUP_BATCHES}]": lambda v: 1 <= v <= MAX_WARMUP_BATCHES,
     f"in [1, {MAX_GRAD_STEPS}]": lambda v: 1 <= v <= MAX_GRAD_STEPS,
+    # while the two bounds are equal, the two fields share this one rule
+    f"in [1, {MAX_EXPERTS}]": lambda v: 1 <= v <= MAX_EXPERTS,
 }
 
 
@@ -104,7 +109,7 @@ class StreamConfig:
     tokens: int = _key("learner", "tokens", 2, ">= 1")
     n_fingerprints: int = _key("learner", "n_fingerprints", 8, ">= 1")
     fingerprint_length: int = _key("learner", "fingerprint_length", 2, "even and >= 2")
-    num_experts: int = _key("learner", "num_experts", 3, ">= 1")
+    num_experts: int = _key("learner", "num_experts", 3, f"in [1, {MAX_EXPERTS}]")
     noise_std: float = _key("learner", "noise_std", 0.3, ">= 0")
     drift_std: float = _key("learner", "drift_std", 0.3, ">= 0")
     outlier_fraction: float = _key("learner", "outlier_fraction", 0.0, "in [0, 1)")

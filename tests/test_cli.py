@@ -206,6 +206,8 @@ class TestRunCommand:
         (["--override", "dim=1000000000"], "dim"),
         # a warm-up that would time batches for days
         (["--override", "warmup_batches=100000000000"], "warmup_batches"),
+        # one expert past the bound
+        (["--override", "num_experts=1001"], "num_experts"),
     ])
     def test_bad_value_exits_2_naming_its_key(self, tmp_path, capsys, flags, key):
         path = tmp_path / "run.ini"
@@ -230,6 +232,23 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "`K`" in err and "Traceback" not in err
+
+    def test_unbounded_num_experts_exit_2_without_a_traceback(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the memory estimate admits a bank of 10**6 experts at this D (and
+        # a 4 GB one at D=16), which takes minutes to draw; the range rule
+        # rejects it before the run starts
+        def started(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_experiment", started)
+        path = tmp_path / "run.ini"
+        write_minimal_config(path)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")]
+                    + FAST_OVERRIDES + ["--override", "num_experts=1000000"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "`num_experts`" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("manifest, key", [
         ([FAST_CONFIG], "config"),

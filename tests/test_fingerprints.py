@@ -222,6 +222,13 @@ class TestGateForward:
         params = identity_params(4, num_experts, gate=gate)
         assert np.array_equal(gate_forward(pool, params), reference_gate(pool, params))
 
+    @pytest.mark.parametrize("lp", [2, 4, 6])
+    def test_gate_input_is_the_fingerprint_mean(self, lp):
+        # the mean over L_p as ndarray.mean computes it; a multiply by
+        # 1/L_p rounds differently at L_p = 6
+        pool, params, _ = random_case(9, lp, 16, 5, seed=lp)
+        assert gate_forward(pool, params).tobytes() == reference_gate(pool, params).tobytes()
+
     def test_all_tied_scores_pick_lowest_indices(self):
         # the name dates from the score-ordered gate, which broke ties to
         # the lower expert index; in expert order tied experts mix alike
@@ -352,6 +359,57 @@ def test_expert_groups_are_the_all_experts_attunement(shape, groups, monkeypatch
     assert seen == groups
     assert out.tobytes() == want.tobytes()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(cache, want_cache))
+
+
+def per_expert_backward(pool, params, upstream, cache):
+    """attune_backward one expert at a time: each expert's token gradients
+    through its own two GEMMs, scaled by its mixing weights and added to
+    the pool gradient in expert order."""
+    mix, sums, slope = cache
+    n, lp, d = pool.weights.shape
+    dmix = np.einsum("nd,rnd->nr", upstream, sums)
+    dscores = mix * (dmix - np.sum(mix * dmix, axis=1, keepdims=True))
+    grad_gate = pool.weights.mean(axis=1).T @ dscores
+    grad_pool = np.repeat((dscores @ params.gate.T)[:, None, :] / lp, lp, axis=1)
+    for r in range(params.num_experts):
+        d_pre = (upstream @ params.values[r])[:, None, :] * slope[r]
+        token_grads = (d_pre.reshape(n * lp, d) @ params.keys[r]).reshape(n, lp, d)
+        grad_pool += token_grads * mix[:, r, None, None]
+    return grad_pool, grad_gate
+
+
+# GROUPED_SHAPES with the real ndtr block, and five experts at a block
+# patched so that the groups split unevenly
+BACKWARD_GROUPS = [pytest.param(*case.values, None, id=case.id) for case in GROUPED_SHAPES] + [
+    pytest.param((8, 2, 16, 5), [2, 2, 1], 512, id="five-experts-in-2-2-1"),
+    pytest.param((8, 6, 16, 5), [3, 2], 2304, id="five-experts-in-3-2-at-length-6"),
+]
+
+
+@pytest.mark.parametrize("shape,groups,block", BACKWARD_GROUPS)
+def test_grouped_backward_is_the_per_expert_loop(shape, groups, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(fingerprints, "_NDTR_BLOCK", block)
+    pool, params, upstream = random_case(*shape, seed=shape[2] + 11)
+    upstream = upstream[:, 0]
+    _, cache = attune(pool, params, with_cache=True)
+    want = per_expert_backward(pool, params, upstream, cache)
+    before = [a.tobytes() for a in cache]
+    for a in cache:
+        a.setflags(write=False)  # a write into the cache raises
+    matmul, seen = np.matmul, []
+
+    def counted(a, b, *args, **kwargs):
+        seen.append(b.shape[0])
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    got = attune_backward(pool, params, upstream, cache)
+    monkeypatch.setattr(np, "matmul", matmul)
+    # one stacked key GEMM call per group, the group's experts in it
+    assert seen == groups
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert [a.tobytes() for a in cache] == before
 
 
 class TestFrozenWeights:

@@ -9,7 +9,7 @@ import pytest
 
 from streamfp import learner, stream_sim
 from streamfp.fingerprints import AttunementParams, FingerprintPool
-from streamfp.core_math import batch_similarity
+from streamfp.core_math import NORM_EPS, batch_similarity, sum_similarity, unit_token_sums
 from streamfp.learner import (
     BatchSummary,
     EmbeddingBatch,
@@ -24,7 +24,7 @@ from streamfp.learner import (
 )
 from streamfp.buffer import RehearsalBuffer, keep_first_update
 from streamfp.seeding import substream
-from test_fingerprints import reference_attune, reference_attune_backward
+from test_fingerprints import per_expert_backward, reference_attune, reference_attune_backward
 
 
 def small_model(seed=1, n_classes=3, dim=4, lr=0.1):
@@ -282,6 +282,83 @@ class TestLossGradientsGolden:
                                 atol=self.ORACLE_RTOL * np.abs(g_ref).max())
 
 
+def twice_normalized_loss_gradients(model, batch):
+    """``loss_gradients`` of an EmbeddingBatch as it read before it
+    normalized the attuned pool once per step: the features through
+    ``sum_similarity``, which normalizes the pool, a Jacobian that computes
+    its norms again, ``ndarray.mean`` reductions and the backward one
+    expert at a time."""
+    labels = batch.labels
+    bsz, tokens = len(batch), batch.embeddings.shape[1]
+    p_agg, cache = learner.attune(model.pool, model.attn, with_cache=True)
+    e_sum, pooled = unit_token_sums(batch.embeddings), batch.embeddings.mean(axis=1)
+    feat = pooled * (1.0 + sum_similarity(e_sum, p_agg, tokens))[:, None]
+    logits = feat @ model.prototypes.T
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    dlogits = np.exp(shifted)
+    exp_sums = dlogits.sum(axis=1, keepdims=True)
+    loss = float((np.log(exp_sums[:, 0]) - shifted[np.arange(bsz), labels]).mean())
+    dlogits /= exp_sums
+    dlogits[np.arange(bsz), labels] -= 1.0
+    dlogits /= bsz
+    grad_proto = dlogits.T @ feat
+    ds = np.einsum("bd,bd->b", dlogits @ model.prototypes, pooled)
+    q = (ds[:, None] * e_sum).sum(axis=0) / (tokens * p_agg.shape[0])
+    norms = np.sqrt((p_agg * p_agg).sum(axis=1))
+    scale = norms + NORM_EPS
+    d_p_agg = q[None, :] / scale[:, None] - p_agg * (
+        (p_agg @ q) / (np.maximum(norms, NORM_EPS) * scale * scale))[:, None]
+    return (loss, grad_proto,
+            *per_expert_backward(model.pool, model.attn, d_p_agg, cache))
+
+
+# (seed, b, tokens, dim, n_classes, pool_count, pool_length, experts): the
+# golden shapes, the small workload's (a 30-row step at D=16, N=8, R=3, in
+# one expert group), three tokens, expert groups of 2 and 1, and the paper
+# shape (one expert per group)
+ONE_NORMALIZATION_CASES = [
+    (41, 6, 2, 4, 3, 2, 2, 2),
+    (42, 16, 4, 8, 5, 2, 2, 2),
+    (44, 30, 2, 16, 10, 8, 2, 3),
+    (45, 12, 3, 16, 6, 8, 4, 3),
+    (46, 20, 2, 128, 10, 16, 2, 3),
+    (43, 64, 4, 768, 10, 100, 4, 3),
+]
+
+
+@pytest.mark.parametrize("shape", ONE_NORMALIZATION_CASES, ids=str)
+def test_loss_gradients_are_the_twice_normalized_formula(shape):
+    model, batch = TestLossGradientsGolden.case(*shape)
+    loss, *grads = loss_gradients(model, batch)
+    want_loss, *want = twice_normalized_loss_gradients(model, batch)
+    assert loss == want_loss
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(grads, want))
+    # the summary's path and forward_loss give the same loss
+    summary = batch.summary()
+    assert loss_gradients(model, summary)[0] == loss
+    assert forward_loss(model, batch)[0] == loss
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("dim", [1, 16, 768])
+@pytest.mark.parametrize("tokens", [1, 2, 3, 4])
+def test_token_means_are_ndarray_mean_bits(tokens, dim, dtype):
+    # the summaries' token means divide the token sum by L, the operations
+    # of ndarray.mean; a multiply by 1/L rounds differently at L = 3
+    rng = substream(tokens * 1000 + dim, "means")
+    b = 9
+    scales = 10.0 ** rng.integers(-30, 31, size=(b, 1, 1))
+    x = (rng.standard_normal((b, tokens, dim)) * scales).astype(dtype)
+    want = x.mean(axis=1)
+    assert (x.sum(axis=1) / tokens).tobytes() == want.tobytes()
+    batch = EmbeddingBatch(x, np.arange(b), np.arange(b))
+    assert batch.summary().means.tobytes() == want.tobytes()
+    buf = RehearsalBuffer(b)
+    keep_first_update(buf, batch)
+    drawn = buf.minibatch(b, rng)
+    assert drawn.means.tobytes() == want[drawn.labels].tobytes()
+
+
 class TestTrainStep:
     def test_zero_learning_rate_freezes_params(self):
         model = small_model(lr=0.0)
@@ -396,6 +473,22 @@ class TestEvaluate:
         batch = EmbeddingBatch(np.zeros((0, 1, 4)), np.zeros(0, dtype=np.int64),
                                np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
+            evaluate(model, batch)
+
+    def test_evaluate_computes_no_loss(self, monkeypatch):
+        model, batch = small_model(seed=24), random_batch(24, b=40)
+        _, logits = forward_loss(model, batch)
+        want = float(np.mean(logits.argmax(axis=1) == batch.labels))
+
+        def lost(*args):
+            raise AssertionError("evaluate computed a loss")
+
+        monkeypatch.setattr(learner, "_cross_entropy", lost)
+        assert evaluate(model, batch) == want
+        assert evaluate(model, batch.summary(), model.attuned_pool()) == want
+        # a label outside the prototype set still raises
+        batch.labels[3] = 3
+        with pytest.raises(ValueError, match="label out of range"):
             evaluate(model, batch)
 
 

@@ -8,6 +8,7 @@ from streamfp import buffer as buffer_module, core_math, fingerprints, learner, 
 from streamfp.learner import EmbeddingBatch, PrototypeModel, SyntheticEmbedder
 from streamfp.stream_sim import (
     CSV_COLUMNS,
+    MAX_EXPERTS,
     MAX_GRAD_STEPS,
     MAX_WARMUP_BATCHES,
     StreamConfig,
@@ -252,6 +253,12 @@ class TestStreamConfigValidate:
         for bad in (0, MAX_GRAD_STEPS + 1, 10**12):
             assert StreamConfig(grad_steps=bad).validate() == [
                 f"key `K` (grad_steps): must be in [1, {MAX_GRAD_STEPS}], got {bad}"]
+
+    def test_num_experts_bound(self):
+        assert StreamConfig(num_experts=MAX_EXPERTS).validate() == []
+        for bad in (0, MAX_EXPERTS + 1, 10**6):
+            assert StreamConfig(num_experts=bad).validate() == [
+                f"key `num_experts`: must be in [1, {MAX_EXPERTS}], got {bad}"]
 
     def test_memory_estimate_against_physical_memory(self, monkeypatch):
         # paper shape: 2*R*D^2 bank, the 85 eval samples of one summary row
