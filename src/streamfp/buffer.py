@@ -103,7 +103,7 @@ class RehearsalBuffer:
         idx = rng.choice(len(self), size=min(size, len(self)), replace=False)
         tokens = self._embeddings.shape[1]
         # the token means as ndarray.mean computes them, without its wrapper
-        return BatchSummary(self._sums[idx], self._embeddings[idx].sum(axis=1) / tokens,
+        return BatchSummary(self._sums[idx], np.add.reduce(self._embeddings[idx], axis=1) / tokens,
                             self._labels[idx], tokens)
 
     def _append(self, batch, similarity, sums):
@@ -176,8 +176,9 @@ def compute_update_count(b, m, n_seen, rng):
     """Number of Retain-Drop exchanges for a batch of size b.
 
     Draws ``n_left`` uniform integers from [0, n_seen) and counts the
-    hits below the capacity m; the count is clamped to [1, floor(b/2)].
-    A stream that has seen nothing yet counts every slot as a hit.
+    hits below the capacity m; the count is ``min(floor(b/2), max(1,
+    hits))``, so at least 1 for b >= 2 and 0 at b=1, where no exchange
+    runs. A stream that has seen nothing yet counts every slot as a hit.
     Only meaningful once the buffer cannot absorb the batch directly.
     """
     if b < 1 or m < 1:
@@ -185,6 +186,12 @@ def compute_update_count(b, m, n_seen, rng):
     n_left = b - max(0, m - n_seen)
     if n_left <= 0:
         raise ValueError("buffer has room for the whole batch; no exchange needed")
+    return _update_count(b, m, n_seen, n_left, rng)
+
+
+def _update_count(b, m, n_seen, n_left, rng):
+    """``compute_update_count``'s count, for ``n_left = b - max(0, m -
+    n_seen) >= 1``; nothing is checked."""
     if n_seen <= 0:
         hits = n_left
     else:
@@ -210,6 +217,12 @@ def rank_probabilities(similarity):
     s = np.asarray(similarity, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("similarity must be a non-empty vector")
+    return _rank_weights(s)
+
+
+def _rank_weights(s):
+    """``rank_probabilities`` of the non-empty float64 vector ``s``;
+    nothing is checked."""
     n = s.size
     if n == 1:
         return np.zeros(1)
@@ -221,7 +234,7 @@ def rank_probabilities(similarity):
     ranks = np.empty(n, dtype=np.float64)
     ranks[order] = np.arange(1, n + 1)
     inv = 1.0 / ranks
-    return 1.0 - inv / inv.sum()
+    return 1.0 - inv / np.add.reduce(inv)
 
 
 def weighted_sample_without_replacement(weights, k, rng):
@@ -271,15 +284,19 @@ def weighted_sample_without_replacement(weights, k, rng):
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty vector")
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
-    if (w < 0).any():
-        raise ValueError("weights must be non-negative")
-    with np.errstate(over="ignore"):
-        finite_total = np.isfinite(w.sum())
-        prefix = np.cumsum(w)  # may overflow where the pairwise sum does not
-    if not finite_total:
-        raise ValueError("weights must have a finite sum")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # two reductions pass every valid vector, silently: a NaN weight
+        # makes both NaN, an infinite one (inf + -inf is invalid) or an
+        # overflow the pairwise sum non-finite, a negative one the minimum
+        # negative; -0.0 passes
+        pairwise, low = np.add.reduce(w), np.minimum.reduce(w)
+        if not (math.isfinite(pairwise) and low >= 0):
+            if not np.isfinite(w).all():
+                raise ValueError("weights must be finite")
+            if (w < 0).any():
+                raise ValueError("weights must be non-negative")
+            raise ValueError("weights must have a finite sum")
+        prefix = w.cumsum()  # may overflow where the pairwise sum does not
     n = w.size
     try:
         k = operator.index(k)
@@ -296,7 +313,7 @@ def weighted_sample_without_replacement(weights, k, rng):
     chosen = []
     for u in rng.random(weighted).tolist():
         target = u * total
-        i = int(search(target, side="right"))
+        i = int(search(target, "right"))
         if not (i < n and at(i) - target > margin
                 and (i == 0 or target - at(i - 1) > margin)):
             i = _exact_pick(w, _drawn(n, chosen), u)
@@ -371,11 +388,19 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng, unit_sums=None):
 
     fill = buffer._append(batch, s_batch, unit_sums)
     if fill < b:  # Retain-Drop exchange on the rows that did not fit
-        nu = compute_update_count(b, buffer.capacity, n_seen_before, rng)
+        # the cores' preconditions hold by construction: every policy counts
+        # each row it stores in n_seen, so at most n_seen_before residents
+        # preceded this offer, and a fill short of b left the buffer full;
+        # so n_left = b - max(0, m - n_seen_before) >= b - fill >= 1,
+        # len(buffer) = m >= 1, and both similarity vectors were checked above
+        m = buffer.capacity
+        nu = _update_count(b, m, n_seen_before, b - max(0, m - n_seen_before), rng)
         nu = min(nu, b - fill, len(buffer))
         if nu >= 1:
-            pi_batch = rank_probabilities(s_batch[fill:])
-            pi_buffer = rank_probabilities(np.concatenate([s_resident, s_batch[:fill]]))
+            pi_batch = _rank_weights(s_batch[fill:])
+            if fill:
+                s_resident = np.concatenate([s_resident, s_batch[:fill]])
+            pi_buffer = _rank_weights(s_resident)
             # a lone candidate has rank weight 0 but is a certain pick; the
             # sampler's uniform fallback would pick it with a warning, and
             # rng.integers(0, 1) consumes no generator state

@@ -1,7 +1,10 @@
 """Deterministic numeric kernels shared by the whole engine.
 
 All kernels operate on 64-bit floats and are pure functions: no hidden
-state, fixed reduction order, safe to call concurrently.
+state, fixed reduction order, safe to call concurrently. Sums on the
+per-batch path, here and in the learner, attunement and buffer, call
+``np.add.reduce``: ``ndarray.sum``'s own reduction, the same bits, without
+its Python wrapper.
 """
 
 import math
@@ -41,7 +44,7 @@ def l2_normalize(v):
     A zero vector maps to the zero vector rather than NaN.
     """
     v = np.asarray(v, dtype=np.float64)
-    norm = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    norm = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     return v / (norm + NORM_EPS)
 
 
@@ -51,7 +54,7 @@ def unit_token_sums(emd):
     Maps (b, L, D) to (b, D); each row depends on its own sample only, so a
     row computed alone equals the same row computed in any batch.
     """
-    return l2_normalize(emd).sum(axis=1)
+    return np.add.reduce(l2_normalize(emd), axis=1)
 
 
 def sum_similarity(e_sum, p_agg, tokens):
@@ -68,7 +71,7 @@ def sum_similarity(e_sum, p_agg, tokens):
         dot products is the dot product of the sums,
         s = (sum_l e_hat_l) . (sum_n p_hat_n) / (L * N).
     """
-    p_sum = l2_normalize(p_agg).sum(axis=0)  # (D,)
+    p_sum = np.add.reduce(l2_normalize(p_agg), axis=0)  # (D,)
     return e_sum @ p_sum / (tokens * p_agg.shape[0])
 
 

@@ -112,7 +112,7 @@ class AttunementParams:
 
 def aggregate(pool):
     """Sum the fingerprint length dimension: (N, L_p, D) -> (N, D)."""
-    return pool.weights.sum(axis=1)
+    return np.add.reduce(pool.weights, axis=1)
 
 
 def gate_forward(pool, params):
@@ -124,10 +124,10 @@ def gate_forward(pool, params):
     row sums to 1.
     """
     # the mean as ndarray.mean computes it, without its Python wrapper
-    pooled = pool.weights.sum(axis=1) / pool.length  # (N, D)
+    pooled = np.add.reduce(pool.weights, axis=1) / pool.length  # (N, D)
     scores = pooled @ params.gate  # (N, R)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def expert_group(n_experts, count, length, dim):
@@ -181,12 +181,12 @@ def attune(pool, params, *, with_cache=False):
             gelu_with_grad(act, out=act, grad=slope[start:stop])
         else:
             gelu(act, out=act)
-        act.reshape(-1, n, lp, d).sum(axis=2, out=token_sums[start:stop])
+        np.add.reduce(act.reshape(-1, n, lp, d), axis=2, out=token_sums[start:stop])
     del pre, act
     # the value matrix is linear, so it maps the token sum of the activations
     sums = token_sums @ params.values.transpose(0, 2, 1)
     # mixed in expert order from +0.0, as adding each expert's share in turn
-    out = (mix.T[:, :, None] * sums).sum(axis=0, initial=0.0)
+    out = np.add.reduce(mix.T[:, :, None] * sums, axis=0, initial=0.0)
     if with_cache:
         return out, AttuneCache(mix, sums, slope.reshape(-1, n, lp, d))
     return out
@@ -220,11 +220,11 @@ def attune_backward(pool, params, upstream, cache):
     # gate path: dL/dmix[n, r] = <upstream[n], sums[r, n]>, then the
     # softmax Jacobian per row
     dmix = np.einsum("nd,rnd->nr", upstream, sums)
-    dscores = mix * (dmix - (mix * dmix).sum(axis=1, keepdims=True))
+    dscores = mix * (dmix - np.add.reduce(mix * dmix, axis=1, keepdims=True))
 
-    pooled = pool.weights.sum(axis=1) / lp  # (N, D), gate_forward's mean
+    pooled = np.add.reduce(pool.weights, axis=1) / lp  # (N, D), gate_forward's mean
     grad_gate = pooled.T @ dscores  # (D, R)
-    grad_pool = np.repeat((dscores @ params.gate.T)[:, None, :] / lp, lp, axis=1)
+    grad_pool = ((dscores @ params.gate.T)[:, None, :] / lp).repeat(lp, axis=1)
 
     # token path: dL/d gelu(h) is the same for every token of a fingerprint.
     # The experts run in attune's groups, each group's GEMMs as stacked

@@ -61,7 +61,7 @@ class EmbeddingBatch:
         tokens = self.embeddings.shape[1]
         # the token means as ndarray.mean computes them, without its wrapper
         return BatchSummary(unit_token_sums(self.embeddings),
-                            self.embeddings.sum(axis=1) / tokens, self.labels, tokens)
+                            np.add.reduce(self.embeddings, axis=1) / tokens, self.labels, tokens)
 
 
 @dataclass
@@ -301,9 +301,9 @@ class PrototypeModel:
 
 def _cross_entropy(logits, labels):
     shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
+    logz = np.log(np.add.reduce(np.exp(shifted), axis=1))
     nll = logz - shifted[np.arange(len(labels)), labels]
-    return float(nll.sum() / nll.size)  # ndarray.mean's operations
+    return float(np.add.reduce(nll) / nll.size)  # ndarray.mean's operations
 
 
 def _checked_labels(model, batch):
@@ -335,7 +335,7 @@ def _unit_pool_sum(model, p_agg):
     ``p_agg``, ``model.attuned_pool()`` when None."""
     if p_agg is None:
         p_agg = model.attuned_pool()
-    return l2_normalize(p_agg).sum(axis=0)
+    return np.add.reduce(l2_normalize(p_agg), axis=0)
 
 
 def forward_loss(model, batch, p_agg=None):
@@ -359,16 +359,16 @@ def loss_gradients(model, batch):
     e_sum, pooled = summary.unit_sums, summary.means  # (b, D) each
     # the pool normalized once, as l2_normalize does it: its norms and
     # scales serve both the features and the Jacobian below
-    norms = np.sqrt((p_agg * p_agg).sum(axis=1))
+    norms = np.sqrt(np.add.reduce(p_agg * p_agg, axis=1))
     scale = norms + NORM_EPS
-    feat, logits = _features(model, summary, (p_agg / scale[:, None]).sum(axis=0))
+    feat, logits = _features(model, summary, np.add.reduce(p_agg / scale[:, None], axis=0))
 
     shifted = logits - logits.max(axis=1, keepdims=True)
     dlogits = np.exp(shifted)
-    exp_sums = dlogits.sum(axis=1, keepdims=True)
+    exp_sums = np.add.reduce(dlogits, axis=1, keepdims=True)
     picked = (np.arange(bsz), labels)  # each row's label entry
     # _cross_entropy's reduction, from the same exp sums
-    loss = float((np.log(exp_sums[:, 0]) - shifted[picked]).sum() / bsz)
+    loss = float(np.add.reduce(np.log(exp_sums[:, 0]) - shifted[picked]) / bsz)
     dlogits /= exp_sums  # the softmax
     dlogits[picked] -= 1.0
     dlogits /= bsz
@@ -380,7 +380,7 @@ def loss_gradients(model, batch):
     # through the similarity: S_i = mean_{l,n} <e_hat_il, p_hat_n>; only the
     # fingerprint side is a parameter. Exact Jacobian of p / (|p| + eps).
     n_fp = p_agg.shape[0]
-    q = (ds[:, None] * e_sum).sum(axis=0) / (tokens * n_fp)  # (D,)
+    q = np.add.reduce(ds[:, None] * e_sum, axis=0) / (tokens * n_fp)  # (D,)
     # J v = v/s - p (p.v) / (|p| s^2), rows of p_agg independently
     pv = p_agg @ q
     d_p_agg = q[None, :] / scale[:, None] - p_agg * (

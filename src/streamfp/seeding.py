@@ -103,7 +103,8 @@ class _PresetState(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 asks for np.uint64 itself, accepted before np.dtype is built
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("a preset seed state only serves PCG64 (4 uint64 words)")
         return self.words
 

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -1226,3 +1227,109 @@ class TestGoldenDecisions:
         # two positive weights, then the uniform fallback for three draws
         w = np.array([0.0, 0.5, 0.0, 0.0, 0.2, 0.0])
         assert weighted_sample_without_replacement(w, 5, rng) == [1, 4, 3, 2, 0]
+
+
+class TestSamplerChecks:
+    """The sampler passes a valid weight vector on two reductions, a total
+    and a minimum, and runs its three element checks only on a vector that
+    fails them, to pick the message. Every bad vector must raise the message
+    of the first check it fails, in the order finite, non-negative, finite
+    sum, without a warning and before the generator moves."""
+
+    @pytest.mark.parametrize("weights, message", [
+        ([0.5, np.nan, 0.2], "weights must be finite"),
+        ([0.5, np.inf, 0.2], "weights must be finite"),
+        ([0.5, -np.inf, 0.2], "weights must be finite"),
+        ([np.inf, -np.inf], "weights must be finite"),  # a NaN total
+        ([-0.5, np.nan], "weights must be finite"),  # finiteness is checked first
+        ([0.5, -0.1, 0.2], "weights must be non-negative"),
+        ([0.5, -5e-324], "weights must be non-negative"),
+        ([1e308, 1e308, -1.0], "weights must be non-negative"),  # before the sum
+        ([1e308, 1e308, 1.0], "weights must have a finite sum"),
+    ], ids=["nan", "inf", "-inf", "inf-and-inf", "negative-and-nan", "negative",
+            "negative-subnormal", "negative-and-overflowing", "overflowing-total"])
+    def test_bad_weights_raise_their_message_silently(self, weights, message):
+        rng = substream(9, "sampler-checks")
+        before = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                weighted_sample_without_replacement(np.array(weights), 1, rng)
+        assert rng.bit_generator.state == before
+
+    def test_negative_zero_is_accepted(self):
+        w = np.array([-0.0, 1.0, 0.5, 0.0, 2.0])
+        want_rng = substream(9, "sampler-negative-zero")
+        got_rng = substream(9, "sampler-negative-zero")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = weighted_sample_without_replacement(w, 3, got_rng)
+        assert got == choice_sampler(w, 3, want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def rescored(offer, ids):
+    """The scores a driver would give the residents ``ids`` before the
+    given offer: distinct, and not the similarity they were stored with."""
+    return np.sin(0.37 * np.asarray(ids, dtype=np.float64) + offer)
+
+
+def replay_retain_drop(offers, p_agg, tokens, m, rng):
+    """``update_buffer`` over ``offers`` that never leave a lone retain
+    candidate, written with the public ``compute_update_count``,
+    ``rank_probabilities`` and sampler on plain resident lists. Returns the
+    residents' ids, their stored similarities, and (fill, nu) of each
+    exchange that drew."""
+    ids, stored, exchanges, n_seen = [], [], [], 0
+    for t, batch in enumerate(offers):
+        s = sum_similarity(batch.summary().unit_sums, p_agg, tokens)
+        s_resident = rescored(t, ids)
+        b, fill = len(batch), min(m - len(ids), len(batch))
+        ids += batch.sample_ids[:fill].tolist()
+        stored += s[:fill].tolist()
+        if fill < b:
+            nu = min(compute_update_count(b, m, n_seen, rng), b - fill, len(ids))
+            if nu >= 1:
+                pi_batch = rank_probabilities(s[fill:])
+                pi_buffer = rank_probabilities(np.concatenate([s_resident, s[:fill]]))
+                retain = weighted_sample_without_replacement(pi_batch, nu, rng)
+                drop = weighted_sample_without_replacement(1.0 - pi_buffer, nu, rng)
+                for slot, row in zip(drop, retain):
+                    ids[slot] = int(batch.sample_ids[fill + row])
+                    stored[slot] = float(s[fill + row])
+                exchanges.append((fill, nu))
+        n_seen += b
+    return ids, stored, exchanges
+
+
+def test_exchange_samples_through_the_module_name(monkeypatch):
+    # perfbench counts the sampler's calls and draws through a wrapper on the
+    # module name buffer.weighted_sample_without_replacement: every exchange
+    # with two or more retain candidates must call that name twice, each call
+    # returning nu indices, and its outcome must be the public functions'
+    m, tokens, dim = 102, 2, 16
+    offers = list(offer_stream([20] * 60, tokens=tokens, dim=dim, seed=24))
+    p_agg = substream(24, "trace-guard").standard_normal((8, dim))
+    replay_rng = substream(24, "trace-guard-draws")
+    ids, stored, exchanges = replay_retain_drop(offers, p_agg, tokens, m, replay_rng)
+    assert {fill > 0 for fill, _ in exchanges} == {True, False}
+
+    calls = []
+    sampler = buffer_module.weighted_sample_without_replacement
+
+    def counting(weights, k, rng):
+        picks = sampler(weights, k, rng)
+        calls.append((k, len(picks)))
+        return picks
+
+    monkeypatch.setattr(buffer_module, "weighted_sample_without_replacement", counting)
+    rng = substream(24, "trace-guard-draws")
+    buf = RehearsalBuffer(m)
+    for t, batch in enumerate(offers):
+        sums = batch.summary().unit_sums
+        update_buffer(buf, batch, sum_similarity(sums, p_agg, tokens),
+                      rescored(t, buf.sample_ids), rng, sums)
+    assert calls == [(nu, nu) for _, nu in exchanges for _ in range(2)]
+    assert buf.sample_ids.tolist() == ids
+    assert buf.similarity.tobytes() == np.array(stored).tobytes()
+    assert rng.bit_generator.state == replay_rng.bit_generator.state
