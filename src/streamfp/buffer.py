@@ -361,7 +361,9 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng, unit_sums=None):
         batch: the whole incoming batch, an EmbeddingBatch or BufferItem list.
         s_batch: similarity of each batch sample to the fingerprints, (b,).
         s_buffer: similarity of each current resident, (len(buffer),); may
-            be empty when the buffer is empty.
+            be empty when the buffer is empty. Only an exchange ranks the
+            residents, so it may be None where none runs on them: when the
+            offer fits the room left or the buffer is empty.
         rng: generator driving the exchange-count draw and both samplings.
         unit_sums: the offer's (b, D) ``core_math.unit_token_sums``, which
             its written rows store; None computes them from the stored rows.
@@ -371,18 +373,25 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng, unit_sums=None):
 
     Raises:
         ValueError: ``s_batch`` or ``s_buffer`` has the wrong length or a
-            non-finite entry; raised before any write or draw.
+            non-finite entry, or ``s_buffer`` is None for an offer that
+            overflows a non-empty buffer; raised before any write or draw.
     """
     batch = _as_batch(buffer, batch, unit_sums)
     s_batch = np.asarray(s_batch, dtype=np.float64)
     b = len(batch)
     if s_batch.shape != (b,):
         raise ValueError("s_batch length must match the batch")
-    s_resident = np.asarray(s_buffer, dtype=np.float64).reshape(-1)
-    if s_resident.shape != (len(buffer),):
-        raise ValueError("s_buffer length must match the buffer contents")
+    if s_buffer is None:
+        if len(buffer) and b > buffer.capacity - len(buffer):
+            raise ValueError("s_buffer is None, but the offer overflows a non-empty "
+                             "buffer, whose residents the exchange ranks")
+        s_resident = None
+    else:
+        s_resident = np.asarray(s_buffer, dtype=np.float64).reshape(-1)
+        if s_resident.shape != (len(buffer),):
+            raise ValueError("s_buffer length must match the buffer contents")
     for name, s in (("s_batch", s_batch), ("s_buffer", s_resident)):
-        if not np.isfinite(s).all():
+        if s is not None and not np.isfinite(s).all():
             raise ValueError(f"{name} must be finite")
     n_seen_before = buffer.n_seen
 
@@ -392,13 +401,16 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng, unit_sums=None):
         # each row it stores in n_seen, so at most n_seen_before residents
         # preceded this offer, and a fill short of b left the buffer full;
         # so n_left = b - max(0, m - n_seen_before) >= b - fill >= 1,
-        # len(buffer) = m >= 1, and both similarity vectors were checked above
+        # len(buffer) = m >= 1, and both similarity vectors were checked
+        # above; a None s_buffer passed only an empty buffer, so fill = m
         m = buffer.capacity
         nu = _update_count(b, m, n_seen_before, b - max(0, m - n_seen_before), rng)
         nu = min(nu, b - fill, len(buffer))
         if nu >= 1:
             pi_batch = _rank_weights(s_batch[fill:])
-            if fill:
+            if s_resident is None:
+                s_resident = s_batch[:fill]
+            elif fill:
                 s_resident = np.concatenate([s_resident, s_batch[:fill]])
             pi_buffer = _rank_weights(s_resident)
             # a lone candidate has rank weight 0 but is a certain pick; the

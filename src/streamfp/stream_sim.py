@@ -440,17 +440,19 @@ def run_experiment(config):
         train_step(model, summary.take(sel_idx, buffer.minibatch(len(sel_idx), retrieval_rng)))
         t2 = time.perf_counter()
         if config.buffer_policy == "streamfp":
+            # only the exchange ranks the residents, and it runs on them only
+            # for an offer that overflows a non-empty buffer
+            overflows = len(buffer) and len(batch) > buffer.capacity - len(buffer)
+            if s is None or overflows:
+                p_agg = aggregate(model.pool)
             if s is None:
-                s = sum_similarity(summary.unit_sums, aggregate(model.pool), summary.tokens)
-            if len(buffer):
+                s = sum_similarity(summary.unit_sums, p_agg, summary.tokens)
+            s_buf = None
+            if overflows:
                 # residents' embeddings never change, and the buffer stores
                 # the unit-token sums of each batch's summary with them, so
                 # only the fingerprint side is new
-                s_buf = sum_similarity(
-                    buffer.unit_token_sums(), aggregate(model.pool), config.tokens
-                )
-            else:
-                s_buf = np.zeros(0)
+                s_buf = sum_similarity(buffer.unit_token_sums(), p_agg, config.tokens)
             update_buffer(buffer, batch, s, s_buf, buf_rng, summary.unit_sums)
         elif config.buffer_policy == "reservoir":
             reservoir_update(buffer, batch, buf_rng, summary.unit_sums)

@@ -1141,6 +1141,65 @@ class TestOfferShape:
         assert buf.sample_ids.tolist() == [0, 1, 4, 5]
 
 
+class TestResidentScoresOnlyForAnExchange:
+    """``update_buffer`` takes ``s_buffer=None`` exactly where no resident
+    from before the offer is ranked: the offer fits the room left, or the
+    buffer is empty. None for an offer that overflows a non-empty buffer
+    raises before any write or draw."""
+
+    columns = staticmethod(TestOfferSums.columns)
+
+    @staticmethod
+    def filled(capacity, rows, rng):
+        """A buffer of ``capacity`` holding ``rows`` residents, scored."""
+        buf = RehearsalBuffer(capacity)
+        if rows:
+            update_buffer(buf, next(offer_stream([rows], seed=1)), rng.uniform(-1, 1, rows),
+                          np.zeros(0), rng)
+        return buf
+
+    @pytest.mark.parametrize("capacity, rows, b", [(6, 0, 4), (6, 0, 6), (6, 2, 3), (6, 2, 4)],
+                             ids=["empty", "empty-to-full", "room", "room-to-full"])
+    def test_fitting_offer_with_none_matches_real_scores(self, capacity, rows, b):
+        results = []
+        for s_buffer in ("scores", None):
+            rng = substream(11, "resident-scores")
+            buf = self.filled(capacity, rows, rng)
+            batch = next(offer_stream([b], seed=2))
+            sums = batch.summary().unit_sums
+            if s_buffer is not None:
+                s_buffer = substream(11, "resident-scores-values").uniform(-1, 1, len(buf))
+            update_buffer(buf, batch, np.linspace(-1, 1, b), s_buffer, rng, sums)
+            results.append((self.columns(buf), rng.bit_generator.state))
+        assert results[0] == results[1]
+
+    # m=1 leaves a lone resident, whose drop is certain; m=5, b=6 a lone
+    # retain candidate; m=3, b=7 an exchange of 3 (floor(b/2) = 3 < b - m = 4)
+    @pytest.mark.parametrize("capacity, b", [(1, 3), (5, 6), (3, 7)])
+    def test_empty_buffer_overflowed_takes_none_as_no_scores(self, capacity, b):
+        results = []
+        for s_buffer in (np.zeros(0), None):
+            rng = substream(12, "resident-scores")
+            buf = RehearsalBuffer(capacity)
+            batch = next(offer_stream([b], seed=3))
+            update_buffer(buf, batch, rng.uniform(-1, 1, b), s_buffer, rng,
+                          batch.summary().unit_sums)
+            results.append((self.columns(buf), rng.bit_generator.state))
+        assert results[0] == results[1]
+        assert len(buf) == capacity and buf.n_seen == b
+
+    @pytest.mark.parametrize("rows, b", [(2, 5), (6, 1), (6, 4)],
+                             ids=["room-overflowed", "full-one", "full"])
+    def test_none_on_an_overflowing_offer_raises_and_changes_nothing(self, rows, b):
+        rng = substream(13, "resident-scores")
+        buf = self.filled(6, rows, rng)
+        before, state = self.columns(buf), rng.bit_generator.state
+        with pytest.raises(ValueError, match="s_buffer"):
+            update_buffer(buf, next(offer_stream([b], seed=4)), np.zeros(b), None, rng)
+        assert self.columns(buf) == before
+        assert rng.bit_generator.state == state
+
+
 class TestReadOnlyViews:
     READERS = {
         "sample_ids": lambda buf: buf.sample_ids,

@@ -591,6 +591,54 @@ class TestRowsNormalizedOnce:
         assert rows["buffer"] == 0
 
 
+class TestResidentScoring:
+    """The driver scores the residents, the one use it makes of
+    ``RehearsalBuffer.unit_token_sums``, only for an offer that overflows a
+    non-empty buffer, the one offer whose exchange ranks them. A selector
+    that scores nothing still has the batch scored after training."""
+
+    @staticmethod
+    def events(monkeypatch, cfg):
+        """The run's trace, one letter per event: ``t`` a training step, ``s``
+        a similarity scoring, ``r`` a read of the residents' sums, and a
+        Retain-Drop offer that overflows a non-empty buffer ``o``, else ``f``."""
+        log = []
+
+        def wrap(owner, name, event):
+            wrapped = getattr(owner, name)
+
+            def logged(*args, **kwargs):
+                log.append(event(*args) if callable(event) else event)
+                return wrapped(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, logged)
+
+        def offer(buffer, batch, *_):
+            return "o" if len(buffer) and len(batch) > buffer.capacity - len(buffer) else "f"
+
+        wrap(stream_sim, "train_step", "t")
+        wrap(stream_sim, "sum_similarity", "s")
+        wrap(RehearsalBuffer, "unit_token_sums", "r")
+        wrap(stream_sim, "update_buffer", offer)
+        report = run_experiment(cfg)
+        assert report.retained_batches == 5
+        return "".join(log)
+
+    @pytest.mark.parametrize("buffer_size, overflows", [(20, 3), (50, 0)],
+                             ids=["fills", "never-fills"])
+    def test_residents_read_once_per_overflowing_offer(self, monkeypatch, buffer_size, overflows):
+        cfg = StreamConfig(**{**GOLDEN_BASE, "buffer_size": buffer_size})
+        log = self.events(monkeypatch, cfg)
+        assert log.count("o") == overflows and log.count("f") == 5 - overflows
+        assert log.count("r") == overflows
+        # streamfp scores the batch as it selects, before training
+        assert log == "stf" * (5 - overflows) + "strso" * overflows
+
+    def test_kcenter_rescores_the_batch_after_training(self, monkeypatch):
+        log = self.events(monkeypatch, StreamConfig(selector="kcenter", **GOLDEN_BASE))
+        assert log == "tsf" * 2 + "tsrso" * 3
+
+
 class TestMetricsCsv:
     def test_header_and_row(self):
         cfg = tiny_config(run_id="demo")
