@@ -9,6 +9,7 @@ BLAS worker threads (default 1, determinism first; set in the package's
 import argparse
 import configparser
 import json
+import os
 import statistics
 import sys
 import time
@@ -133,6 +134,20 @@ def default_config_text():
     return "\n".join(lines)
 
 
+def _check_writable(path):
+    """Raise the OSError that writing ``path`` would, before any work is
+    done rather than after it. Append mode leaves an existing file intact,
+    and a file made here is removed again (a symlink is never removed)."""
+    existed = os.path.lexists(path)
+    open(path, "a").close()
+    if not existed:
+        path.unlink()
+
+
+def _write_json(path, value):
+    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
+
+
 def cmd_run(args):
     seed = [] if args.seed is None else [f"seed={args.seed}"]
     config, errors = load_config(args.config, args.override + seed)
@@ -142,11 +157,21 @@ def cmd_run(args):
         return EXIT_CONFIG
 
     out_dir = Path(args.out)
+    # the files a run writes besides its manifest, by the manifest's names
+    outputs = {"csv": out_dir / "metrics.csv", "json": out_dir / "metrics.json",
+               "timings": out_dir / "timings.json"}
+    manifest_path = out_dir / "manifest.json"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"config error: cannot create --out {out_dir}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    for path in [*outputs.values(), manifest_path]:
+        try:
+            _check_writable(path)
+        except OSError as exc:
+            print(f"config error: cannot write {path}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     started = time.time()
     try:
         report = run_experiment(config)
@@ -154,33 +179,27 @@ def cmd_run(args):
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    # pin every measured figure so a rerun from the manifest reproduces
-    # each output byte-for-byte; the pinned config is what gets recorded
-    pinned_config = replace(
-        config,
-        pinned_batch_time=report.batch_time_s,
-        c_s_override=report.c_s,
-        pinned_selection_throughput=report.selection_throughput_sps,
-        pinned_total_runtime=report.total_runtime_s,
-    )
-    pinned = asdict(pinned_config)
-
-    csv_path = out_dir / "metrics.csv"
-    json_path = out_dir / "metrics.json"
-    manifest_path = out_dir / "manifest.json"
-    csv_path.write_text(metrics_csv([(report, pinned_config)]))
-    json_path.write_text(
-        json.dumps(report.to_json_dict(pinned_config), indent=2, sort_keys=True) + "\n"
-    )
-    manifest = {
+    # pin the two measurements that steer a run, so a rerun from the
+    # manifest reproduces the metrics and the manifest byte for byte; the
+    # measured timings go to timings.json alone
+    pinned_config = replace(config, pinned_batch_time=report.batch_time_s,
+                            c_s_override=report.c_s)
+    outputs["csv"].write_text(metrics_csv([(report, pinned_config)]))
+    _write_json(outputs["json"], report.to_json_dict(pinned_config))
+    _write_json(manifest_path, {
         "engine_version": __version__,
         "master_seed": config.seed,
-        "config": pinned,
-        "outputs": {"csv": csv_path.name, "json": json_path.name},
+        "config": asdict(pinned_config),
+        "outputs": {kind: path.name for kind, path in outputs.items()},
+    })
+    _write_json(outputs["timings"], {
+        "batch_time_s": report.batch_time_s,
+        "selection_throughput_sps": report.selection_throughput_sps,
+        "total_runtime_s": report.total_runtime_s,
+        "stage_seconds": report.stage_seconds,
         "started_unix": started,
         "finished_unix": time.time(),
-    }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    })
     print(
         f"run {config.run_id}: avg_accuracy={report.avg_accuracy:.4f} "
         f"avg_forgetting={report.avg_forgetting:.4f} C_S={report.c_s:.4f} "
@@ -266,10 +285,8 @@ def cmd_bench(args):
         print(f"config error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
         return EXIT_CONFIG
     if args.out:
-        # fail before any timing, not after: append mode creates a missing
-        # file but leaves an existing one intact
         try:
-            open(args.out, "a").close()
+            _check_writable(Path(args.out))
         except OSError as exc:
             print(f"config error: cannot write --out {args.out}: {exc}", file=sys.stderr)
             return EXIT_CONFIG

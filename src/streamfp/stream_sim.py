@@ -55,8 +55,6 @@ _CSV_TABLE = (
     ("class_order", lambda r, c: str(c.class_order)),
     ("avg_accuracy", lambda r, c: f"{r.avg_accuracy:.6f}"),
     ("avg_forgetting", lambda r, c: f"{r.avg_forgetting:.6f}"),
-    ("selection_throughput_sps", lambda r, c: f"{r.selection_throughput_sps:.3f}"),
-    ("total_runtime_s", lambda r, c: f"{r.total_runtime_s:.6f}"),
 )
 CSV_COLUMNS = [column for column, _ in _CSV_TABLE]
 
@@ -119,13 +117,11 @@ class StreamConfig:
     learning_rate: float = _key("learner", "learning_rate", 0.001, ">= 0")
     eval_size: int = _key("learner", "eval_size", 100, ">= 1")  # held-out samples per task
     warmup_batches: int = _key("stream", "warmup_batches", 50, f"in [1, {MAX_WARMUP_BATCHES}]")
-    # pinned timing inputs; when set, wall-clock measurement is skipped and
-    # every derived figure is reproducible bit-for-bit
+    # the two measurements that steer a run; with the batch time set, the
+    # warm-up is skipped and every output but the timings is reproducible
+    # bit for bit
     pinned_batch_time: float | None = _key("timing", "pinned_batch_time", None, "> 0")
     c_s_override: float | None = _key("timing", "c_s_override", None, "> 0")
-    pinned_selection_throughput: float | None = _key(
-        "timing", "pinned_selection_throughput", None, ">= 0")
-    pinned_total_runtime: float | None = _key("timing", "pinned_total_runtime", None, ">= 0")
     run_id: str = _key("stream", "run_id", "run")
 
     def validate(self):
@@ -255,7 +251,7 @@ class MetricsReport:
     selection_throughput_sps: float
     total_runtime_s: float
     stage_seconds: dict
-    batch_time_s: float = 0.0
+    batch_time_s: float
 
     def csv_row(self, config):
         return [text(self, config) for _, text in _CSV_TABLE]
@@ -270,8 +266,6 @@ class MetricsReport:
             "C_S": self.c_s,
             "retained_batches": self.retained_batches,
             "total_batches": self.total_batches,
-            "selection_throughput_sps": self.selection_throughput_sps,
-            "total_runtime_s": self.total_runtime_s,
         }
 
 
@@ -376,8 +370,9 @@ def run_experiment(config):
 
     Pipeline per retained batch: embed, one summary, similarity, coreset
     selection, K-step training on the coreset's summary rows plus a buffer
-    mini-batch, then a buffer update over the whole batch. Deterministic
-    given the master seed (timing figures excepted unless pinned).
+    mini-batch, then a buffer update over the whole batch. With the batch
+    time pinned, everything but the timing figures is a pure function of
+    the config.
     """
     errors = config.validate()
     if errors:
@@ -441,7 +436,13 @@ def run_experiment(config):
         t2 = time.perf_counter()
         if config.buffer_policy == "streamfp":
             # only the exchange ranks the residents, and it runs on them only
-            # for an offer that overflows a non-empty buffer
+            # for an offer that overflows a non-empty buffer. The residents
+            # are scored against the pool after this batch's training step;
+            # under the streamfp selector the batch keeps its selection
+            # scores, from the pool before it. So the offer that overflows a
+            # partly filled buffer ranks both kinds in one drop ranking: the
+            # residents beside the rows that filled the room (at b=20 and
+            # m=102, the 6th offer: 2 rows fill it after 100 residents)
             overflows = len(buffer) and len(batch) > buffer.capacity - len(buffer)
             if s is None or overflows:
                 p_agg = aggregate(model.pool)
@@ -539,15 +540,8 @@ def run_experiment(config):
         acc_rows.append([evaluate(model, eval_set, p_agg) for eval_set in eval_sets])
         timings["eval"] += time.perf_counter() - te
 
-    total_runtime = time.perf_counter() - t_start
-    if config.pinned_selection_throughput is not None:
-        throughput = config.pinned_selection_throughput
-    else:
-        # every batch has batch_size rows
-        throughput = len(retained) * config.batch_size / max(timings["selection"], 1e-12)
-    if config.pinned_total_runtime is not None:
-        total_runtime = config.pinned_total_runtime
-
+    # every batch has batch_size rows
+    throughput = len(retained) * config.batch_size / max(timings["selection"], 1e-12)
     return MetricsReport(
         acc_rows=acc_rows,
         avg_accuracy=average_accuracy(acc_rows),
@@ -556,7 +550,7 @@ def run_experiment(config):
         retained_batches=len(retained),
         total_batches=num_batches,
         selection_throughput_sps=float(throughput),
-        total_runtime_s=float(total_runtime),
+        total_runtime_s=time.perf_counter() - t_start,
         stage_seconds=timings,
         batch_time_s=float(batch_time),
     )

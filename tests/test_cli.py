@@ -4,6 +4,7 @@ import configparser
 import contextlib
 import io
 import json
+import math
 import os
 import socket
 import subprocess
@@ -64,7 +65,6 @@ VALID_VALUES = {
     "dominant_fraction": ("0.1", True), "class_concentration": ("0.5", True),
     "learning_rate": ("0.1", True), "eval_size": ("5", False),
     "pinned_batch_time": ("1e-6", False), "c_s_override": ("2", False),
-    "pinned_selection_throughput": ("100", True), "pinned_total_runtime": ("1", True),
 }
 
 
@@ -172,19 +172,44 @@ class TestRunCommand:
         assert manifest["config"]["c_s_override"] is not None
         assert "avg_accuracy" in capsys.readouterr().out
 
+    def test_timings_hold_every_measured_figure(self, tmp_path):
+        path = tmp_path / "run.ini"
+        write_minimal_config(path, warmup_batches="2")
+        out = tmp_path / "out"
+        # the batch time is measured here, not pinned
+        assert main(["run", "--config", str(path), "--out", str(out)]
+                    + FAST_OVERRIDES[:-2]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == {
+            "csv": "metrics.csv", "json": "metrics.json", "timings": "timings.json"}
+        timings = json.loads((out / "timings.json").read_text())
+        stages = timings.pop("stage_seconds")
+        assert sorted(stages) == ["buffer", "eval", "selection", "train"]
+        assert sorted(timings) == ["batch_time_s", "finished_unix", "selection_throughput_sps",
+                                   "started_unix", "total_runtime_s"]
+        figures = [*stages.values(), *timings.values()]
+        assert all(math.isfinite(v) and v >= 0 for v in figures)
+        assert timings["batch_time_s"] == manifest["config"]["pinned_batch_time"]
+        assert timings["started_unix"] <= timings["finished_unix"]
+        # no measured figure reaches the byte-compared files
+        assert "started_unix" not in manifest
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert not {"selection_throughput_sps", "total_runtime_s"} & set(metrics)
+
     def test_manifest_rerun_is_byte_identical(self, tmp_path):
+        # and so is a second run of the same pinned config: no measured
+        # figure reaches these three files
         path = tmp_path / "run.ini"
         write_minimal_config(path)
-        out1 = tmp_path / "o1"
-        out2 = tmp_path / "o2"
-        assert main(["run", "--config", str(path), "--out", str(out1)]
-                    + FAST_OVERRIDES) == EXIT_OK
-        assert main(["run", "--config", str(out1 / "manifest.json"),
-                     "--out", str(out2)]) == EXIT_OK
-        assert (out1 / "metrics.csv").read_bytes() == \
-            (out2 / "metrics.csv").read_bytes()
-        assert (out1 / "metrics.json").read_bytes() == \
-            (out2 / "metrics.json").read_bytes()
+        outs = [tmp_path / name for name in ("o1", "o2", "o3")]
+        for out in outs[:2]:
+            assert main(["run", "--config", str(path), "--out", str(out)]
+                        + FAST_OVERRIDES) == EXIT_OK
+        assert main(["run", "--config", str(outs[0] / "manifest.json"),
+                     "--out", str(outs[2])]) == EXIT_OK
+        for name in ("metrics.csv", "metrics.json", "manifest.json"):
+            first = (outs[0] / name).read_bytes()
+            assert all((out / name).read_bytes() == first for out in outs[1:]), name
 
     @pytest.mark.parametrize("flags, key", [
         (["--override", "lambda=nan"], "lambda"),
@@ -259,6 +284,9 @@ class TestRunCommand:
         ({"config": {**FAST_CONFIG, "seed": True}}, "seed"),
         ({"config": {**FAST_CONFIG, "selector": 3}}, "selector"),
         ({"config": {**FAST_CONFIG, "warp": 9}}, "warp"),
+        # a manifest from before the two timing pins left the config
+        ({"config": {**FAST_CONFIG, "pinned_selection_throughput": 100.0}},
+         "pinned_selection_throughput"),
     ])
     def test_bad_manifest_exits_2_naming_its_key(self, tmp_path, capsys, manifest, key):
         path = tmp_path / "manifest.json"
@@ -280,14 +308,29 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert all(f"`{key}`" in err for key in keys)
 
-    def test_out_that_cannot_be_created_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("blocked, message", [
+        # --out is a file, not a directory
+        (None, "cannot create --out"),
+        # an output file is a directory
+        ("metrics.csv", "cannot write"),
+    ])
+    def test_out_that_cannot_be_created_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                blocked, message):
+        def started(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_experiment", started)
         path = tmp_path / "run.ini"
         write_minimal_config(path)
         taken = tmp_path / "taken"
-        taken.write_text("a file, not a directory")
+        if blocked is None:
+            taken.write_text("a file, not a directory")
+        else:
+            (taken / blocked).mkdir(parents=True)
         code = main(["run", "--config", str(path), "--out", str(taken)] + FAST_OVERRIDES)
         assert code == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err and "Traceback" not in err
 
     # configparser.read would skip a path it cannot open and report the
     # required `lambda` and `seed` keys as missing
@@ -496,3 +539,44 @@ class TestThreadBound:
     def test_explicit_blas_variable_is_kept(self):
         variable, _ = probe_threads(STREAMFP_THREADS="3", OPENBLAS_NUM_THREADS="2")
         assert variable == "2"
+
+
+# one pinned run at the paper shape (D=768, N=100, L_p=4, 4 tokens, b=64,
+# m=512; 10 batches, so the buffer overflows and Retain-Drop runs), printing
+# its accuracy matrix and a digest of the model and attuned pool at every
+# evaluation, all as exact bits
+PAPER_SHAPE_RUN = """
+import hashlib
+from streamfp import stream_sim
+from streamfp.stream_sim import StreamConfig, run_experiment
+
+digest = hashlib.sha256()
+evaluate = stream_sim.evaluate
+
+def hashed_evaluate(model, eval_set, p_agg):
+    for array in (model.prototypes, model.pool.weights, model.attn.gate, p_agg):
+        digest.update(array.tobytes())
+    return evaluate(model, eval_set, p_agg)
+
+stream_sim.evaluate = hashed_evaluate
+report = run_experiment(StreamConfig(
+    seed=1, dim=768, n_fingerprints=100, fingerprint_length=4, tokens=4, batch_size=64,
+    buffer_size=512, tasks=2, dataset_size=640, learning_rate=0.5, eval_size=100,
+    pinned_batch_time=1e-9, c_s_override=1.0))
+print([[value.hex() for value in row] for row in report.acc_rows], digest.hexdigest())
+"""
+
+
+def paper_shape_bits(threads):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["STREAMFP_THREADS"] = threads
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", PAPER_SHAPE_RUN], env=env, check=True,
+                          capture_output=True, text=True, timeout=300).stdout
+
+
+def test_two_blas_threads_give_the_same_bits_at_the_paper_shape():
+    assert paper_shape_bits("2") == paper_shape_bits("1")
