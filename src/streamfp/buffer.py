@@ -9,12 +9,13 @@ The reservoir and keep-first baselines differ only in that exchange.
 
 import logging
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core_math import unit_token_sums
+from .core_math import token_means, unit_token_sums
 from .learner import BatchSummary, EmbeddingBatch
 
 logger = logging.getLogger(__name__)
@@ -48,8 +49,8 @@ class RehearsalBuffer:
     _COLUMNS = ("_embeddings", "_sums", "_ids", "_labels", "_similarity")
 
     def __init__(self, capacity):
-        if capacity < 1:
-            raise ValueError("buffer capacity must be >= 1")
+        if not isinstance(capacity, numbers.Integral) or capacity < 1:
+            raise ValueError(f"capacity must be an integer >= 1, got {capacity!r}")
         self.capacity = int(capacity)
         self.n_seen = 0
         self._len = 0
@@ -61,6 +62,11 @@ class RehearsalBuffer:
 
     def __len__(self):
         return self._len
+
+    def overflows(self, rows):
+        """Whether an offer of ``rows`` rows overflows a non-empty buffer: the
+        one offer whose Retain-Drop exchange ranks residents from before it."""
+        return self._len > 0 and rows > self.capacity - self._len
 
     def _live(self, column):
         view = column[:self._len]
@@ -101,10 +107,8 @@ class RehearsalBuffer:
         if not len(self) or size < 1:
             return None
         idx = rng.choice(len(self), size=min(size, len(self)), replace=False)
-        tokens = self._embeddings.shape[1]
-        # the token means as ndarray.mean computes them, without its wrapper
-        return BatchSummary(self._sums[idx], np.add.reduce(self._embeddings[idx], axis=1) / tokens,
-                            self._labels[idx], tokens)
+        emb = self._embeddings[idx]
+        return BatchSummary(self._sums[idx], token_means(emb), self._labels[idx], emb.shape[1])
 
     def _append(self, batch, similarity, sums):
         """Store the leading batch rows that fit in the rows after the
@@ -382,7 +386,7 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng, unit_sums=None):
     if s_batch.shape != (b,):
         raise ValueError("s_batch length must match the batch")
     if s_buffer is None:
-        if len(buffer) and b > buffer.capacity - len(buffer):
+        if buffer.overflows(b):
             raise ValueError("s_buffer is None, but the offer overflows a non-empty "
                              "buffer, whose residents the exchange ranks")
         s_resident = None

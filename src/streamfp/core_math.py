@@ -57,6 +57,13 @@ def unit_token_sums(emd):
     return np.add.reduce(l2_normalize(emd), axis=1)
 
 
+def token_means(emd):
+    """Per-sample mean of the token embeddings, (b, L, D) to (b, D): the
+    operations of ``ndarray.mean`` (the token sum divided by L), without its
+    Python wrapper. The result keeps the input's float dtype."""
+    return np.add.reduce(emd, axis=1) / emd.shape[1]
+
+
 def sum_similarity(e_sum, p_agg, tokens):
     """Mean cosine similarity from per-sample unit-token sums.
 

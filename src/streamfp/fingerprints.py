@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_math import _NDTR_BLOCK, gelu, gelu_with_grad
+from .core_math import _NDTR_BLOCK, gelu, gelu_with_grad, token_means
 
 
 @dataclass
@@ -123,9 +123,7 @@ def gate_forward(pool, params):
     softmaxed in expert order, so column r is expert r's weight and each
     row sums to 1.
     """
-    # the mean as ndarray.mean computes it, without its Python wrapper
-    pooled = np.add.reduce(pool.weights, axis=1) / pool.length  # (N, D)
-    scores = pooled @ params.gate  # (N, R)
+    scores = token_means(pool.weights) @ params.gate  # (N, R)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     return e / np.add.reduce(e, axis=1, keepdims=True)
 
@@ -222,8 +220,7 @@ def attune_backward(pool, params, upstream, cache):
     dmix = np.einsum("nd,rnd->nr", upstream, sums)
     dscores = mix * (dmix - np.add.reduce(mix * dmix, axis=1, keepdims=True))
 
-    pooled = np.add.reduce(pool.weights, axis=1) / lp  # (N, D), gate_forward's mean
-    grad_gate = pooled.T @ dscores  # (D, R)
+    grad_gate = token_means(pool.weights).T @ dscores  # (D, R), through gate_forward's mean
     grad_pool = ((dscores @ params.gate.T)[:, None, :] / lp).repeat(lp, axis=1)
 
     # token path: dL/d gelu(h) is the same for every token of a fingerprint.

@@ -8,6 +8,8 @@ gradients through the loss.
 """
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,6 +19,8 @@ from .core_math import (  # noqa: F401
     NORM_EPS,
     batch_similarity,
     l2_normalize,
+    sum_similarity,
+    token_means,
     unit_token_sums,
 )
 from .fingerprints import (
@@ -58,10 +62,8 @@ class EmbeddingBatch:
 
     def summary(self):
         """The :class:`BatchSummary` of this batch."""
-        tokens = self.embeddings.shape[1]
-        # the token means as ndarray.mean computes them, without its wrapper
-        return BatchSummary(unit_token_sums(self.embeddings),
-                            np.add.reduce(self.embeddings, axis=1) / tokens, self.labels, tokens)
+        return BatchSummary(unit_token_sums(self.embeddings), token_means(self.embeddings),
+                            self.labels, self.embeddings.shape[1])
 
 
 @dataclass
@@ -266,10 +268,10 @@ class PrototypeModel:
 
     def __post_init__(self):
         self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
-        if self.grad_steps < 1:
-            raise ValueError("need at least one gradient step")
+        if not 0 <= self.learning_rate < math.inf:  # a NaN fails it too
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
+        if not isinstance(self.grad_steps, numbers.Integral) or self.grad_steps < 1:
+            raise ValueError(f"grad_steps must be an integer >= 1, got {self.grad_steps!r}")
 
     def attuned_pool(self):
         """The attuned fingerprints summed over their length, shape (N, D):
@@ -300,10 +302,14 @@ class PrototypeModel:
 
 
 def _cross_entropy(logits, labels):
+    """The mean softmax cross-entropy of ``logits`` against ``labels``, and the
+    softmax of ``logits``, both from one set of exponentials."""
     shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.add.reduce(np.exp(shifted), axis=1))
-    nll = logz - shifted[np.arange(len(labels)), labels]
-    return float(np.add.reduce(nll) / nll.size)  # ndarray.mean's operations
+    softmax = np.exp(shifted)
+    exp_sums = np.add.reduce(softmax, axis=1, keepdims=True)
+    nll = np.log(exp_sums[:, 0]) - shifted[np.arange(len(labels)), labels]
+    softmax /= exp_sums
+    return float(np.add.reduce(nll) / nll.size), softmax  # ndarray.mean's operations
 
 
 def _checked_labels(model, batch):
@@ -315,39 +321,32 @@ def _checked_labels(model, batch):
     return labels
 
 
-def _features(model, summary, p_sum):
+def _features(model, summary, p_agg):
     """The classifier's features and logits of a summarized batch.
 
     Per-sample feature = token-mean embedding scaled by (1 + S), where S
-    is the mean cosine similarity to the attuned fingerprints: the
-    ``sum_similarity`` of the batch against the model's N fingerprints,
-    from ``p_sum``, the sum of the unit-normalized attuned fingerprints
-    (:func:`_unit_pool_sum`). This is the differentiable coupling that lets
-    the fingerprints and gate train.
+    is the mean cosine similarity to the attuned fingerprints ``p_agg``
+    (``model.attuned_pool()`` when None): the ``sum_similarity`` of the
+    batch against them. This is the differentiable coupling that lets the
+    fingerprints and gate train.
     """
-    s = summary.unit_sums @ p_sum / (summary.tokens * model.pool.count)
-    feat = summary.means * (1.0 + s)[:, None]
-    return feat, feat @ model.prototypes.T
-
-
-def _unit_pool_sum(model, p_agg):
-    """``l2_normalize(p_agg).sum(axis=0)`` of the attuned fingerprints
-    ``p_agg``, ``model.attuned_pool()`` when None."""
     if p_agg is None:
         p_agg = model.attuned_pool()
-    return np.add.reduce(l2_normalize(p_agg), axis=0)
+    s = sum_similarity(summary.unit_sums, p_agg, summary.tokens)
+    feat = summary.means * (1.0 + s)[:, None]
+    return feat, feat @ model.prototypes.T
 
 
 def forward_loss(model, batch, p_agg=None):
     """Cross-entropy loss and logits of the prototype classifier on an
     :class:`EmbeddingBatch` or its :class:`BatchSummary`.
 
-    ``p_agg`` is ``model.attuned_pool()``, computed here when not given.
+    ``p_agg`` is ``model.attuned_pool()``, computed when not given.
     """
     summary = batch.summary()
     labels = _checked_labels(model, summary)
-    _, logits = _features(model, summary, _unit_pool_sum(model, p_agg))
-    return _cross_entropy(logits, labels), logits
+    _, logits = _features(model, summary, p_agg)
+    return _cross_entropy(logits, labels)[0], logits
 
 
 def loss_gradients(model, batch):
@@ -357,20 +356,9 @@ def loss_gradients(model, batch):
     bsz, tokens = len(summary), summary.tokens
     p_agg, cache = attune(model.pool, model.attn, with_cache=True)
     e_sum, pooled = summary.unit_sums, summary.means  # (b, D) each
-    # the pool normalized once, as l2_normalize does it: its norms and
-    # scales serve both the features and the Jacobian below
-    norms = np.sqrt(np.add.reduce(p_agg * p_agg, axis=1))
-    scale = norms + NORM_EPS
-    feat, logits = _features(model, summary, np.add.reduce(p_agg / scale[:, None], axis=0))
-
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    dlogits = np.exp(shifted)
-    exp_sums = np.add.reduce(dlogits, axis=1, keepdims=True)
-    picked = (np.arange(bsz), labels)  # each row's label entry
-    # _cross_entropy's reduction, from the same exp sums
-    loss = float(np.add.reduce(np.log(exp_sums[:, 0]) - shifted[picked]) / bsz)
-    dlogits /= exp_sums  # the softmax
-    dlogits[picked] -= 1.0
+    feat, logits = _features(model, summary, p_agg)
+    loss, dlogits = _cross_entropy(logits, labels)
+    dlogits[np.arange(bsz), labels] -= 1.0
     dlogits /= bsz
 
     grad_proto = dlogits.T @ feat
@@ -378,7 +366,10 @@ def loss_gradients(model, batch):
     ds = np.einsum("bd,bd->b", dfeat, pooled)  # dL/dS per sample
 
     # through the similarity: S_i = mean_{l,n} <e_hat_il, p_hat_n>; only the
-    # fingerprint side is a parameter. Exact Jacobian of p / (|p| + eps).
+    # fingerprint side is a parameter. Exact Jacobian of p / (|p| + eps),
+    # with the norms as l2_normalize takes them
+    norms = np.sqrt(np.add.reduce(p_agg * p_agg, axis=1))
+    scale = norms + NORM_EPS
     n_fp = p_agg.shape[0]
     q = np.add.reduce(ds[:, None] * e_sum, axis=0) / (tokens * n_fp)  # (D,)
     # J v = v/s - p (p.v) / (|p| s^2), rows of p_agg independently
@@ -421,7 +412,7 @@ def evaluate(model, batch, p_agg=None):
         raise ValueError("empty evaluation set")
     summary = batch.summary()
     _checked_labels(model, summary)
-    _, logits = _features(model, summary, _unit_pool_sum(model, p_agg))
+    _, logits = _features(model, summary, p_agg)
     pred = logits.argmax(axis=1)
     return float(np.mean(pred == batch.labels))
 

@@ -132,7 +132,7 @@ def indexed_states(master_seed: int, label: str, indices):
     prefix = _words(int(master_seed)) + _words(_label_key(label))
     indices = np.asarray(indices)
     if indices.ndim != 1:
-        raise ValueError(f"expected an int or a 1-D index array, got shape {indices.shape}")
+        raise ValueError(f"expected a 1-D index array, got shape {indices.shape}")
     if indices.size and not np.issubdtype(indices.dtype, np.integer):
         raise TypeError(f"indices must be integers, got dtype {indices.dtype}")
     if indices.size and indices.min() < 0:
@@ -149,20 +149,13 @@ def indexed_states(master_seed: int, label: str, indices):
     return states
 
 
-def substream_indexed(master_seed: int, label: str, index):
-    """Like :func:`substream` but with an extra integer coordinate.
+def substream_indexed(master_seed: int, label: str, index) -> np.random.Generator:
+    """Like :func:`substream` but with an extra integer coordinate: the
+    generator that ``SeedSequence([master_seed, key(label), index])`` seeds.
 
     Used for per-sample / per-trial determinism (e.g. synthetic embeddings
-    keyed by (task, sample index)). For an int ``index`` it returns one
-    generator. For a 1-D integer array it returns an iterator of generators,
-    built one at a time; element ``j`` draws exactly what
-    ``substream_indexed(master_seed, label, int(index[j]))`` draws. Either way
-    the generator is the one ``SeedSequence([master_seed, key(label),
-    index])`` would seed, derived for all indices in one vectorised pass
-    (:func:`indexed_states`). These generators cannot ``spawn``.
+    keyed by (task, sample index)). ``index`` is one non-negative integer;
+    :func:`indexed_states` derives the states of a whole index array at once.
     """
-    if np.ndim(index) == 0:
-        prefix = _words(int(master_seed)) + _words(_label_key(label))
-        words = _words(operator.index(index))
-        return next(state_generators(_seed_states(prefix + words, 1)))
-    return state_generators(indexed_states(master_seed, label, index))
+    seq = np.random.SeedSequence([int(master_seed), _label_key(label), operator.index(index)])
+    return np.random.default_rng(seq)

@@ -443,7 +443,7 @@ def run_experiment(config):
             # partly filled buffer ranks both kinds in one drop ranking: the
             # residents beside the rows that filled the room (at b=20 and
             # m=102, the 6th offer: 2 rows fill it after 100 residents)
-            overflows = len(buffer) and len(batch) > buffer.capacity - len(buffer)
+            overflows = buffer.overflows(len(batch))
             if s is None or overflows:
                 p_agg = aggregate(model.pool)
             if s is None:
@@ -486,15 +486,18 @@ def run_experiment(config):
         return float(np.median(per_batch))
 
     # warm-up timing (or pinned measurement) -> C_S -> skip schedule. The
-    # warm-up draws from the selection, retrieval and buffer substreams
-    # before the run does, but how many draws a batch makes is fixed by b,
-    # sigma and the buffer fill, never by a similarity value: the coreset
-    # size max(1, floor(sigma * b)), the retrieval mini-batch size, the
-    # compute_update_count draws, and one uniform per weighted draw (rank
-    # weights are all > 0 for n >= 2). So the warm-up copy's values reach
-    # no output. The batches it embedded reach the main loop unchanged: a
-    # batch is a pure function of (seed, task, index), and nothing writes
-    # into one, so the run takes the held copy instead of embedding it again.
+    # warm-up draws from the run's own selection, retrieval and buffer
+    # generators before the run does. How many draws a batch makes is fixed
+    # by b, sigma and the buffer fill, never by a similarity value: the
+    # coreset size max(1, floor(sigma * b)), the retrieval mini-batch size,
+    # the compute_update_count draws, and one uniform per weighted draw (rank
+    # weights are all > 0 for n >= 2). So the warm-up copy's model values
+    # reach no output, but it leaves those three generators a fixed count of
+    # draws ahead: an un-pinned run is deterministic, yet differs from the
+    # same config pinned, which skips the warm-up (the tests' GOLDEN_UNPINNED).
+    # The batches it embedded reach the main loop unchanged: a batch is a pure
+    # function of (seed, task, index), and nothing writes into one, so the run
+    # takes the held copy instead of embedding it again.
     if config.pinned_batch_time is not None:
         batch_time = config.pinned_batch_time
     else:

@@ -1158,6 +1158,15 @@ class TestResidentScoresOnlyForAnExchange:
                           np.zeros(0), rng)
         return buf
 
+    # an empty buffer has no residents to rank, even under an offer larger
+    # than its capacity
+    @pytest.mark.parametrize("rows, b, overflows", [(0, 9, False), (2, 3, False), (2, 4, False),
+                                                    (2, 5, True)],
+                             ids=["empty", "room", "exact-fit", "overflow"])
+    def test_overflows_truth_table(self, rows, b, overflows):
+        buf = self.filled(6, rows, substream(14, "resident-scores"))
+        assert buf.overflows(b) is overflows
+
     @pytest.mark.parametrize("capacity, rows, b", [(6, 0, 4), (6, 0, 6), (6, 2, 3), (6, 2, 4)],
                              ids=["empty", "empty-to-full", "room", "room-to-full"])
     def test_fitting_offer_with_none_matches_real_scores(self, capacity, rows, b):

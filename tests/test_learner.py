@@ -9,7 +9,13 @@ import pytest
 
 from streamfp import learner, stream_sim
 from streamfp.fingerprints import AttunementParams, FingerprintPool
-from streamfp.core_math import NORM_EPS, batch_similarity, sum_similarity, unit_token_sums
+from streamfp.core_math import (
+    NORM_EPS,
+    batch_similarity,
+    sum_similarity,
+    token_means,
+    unit_token_sums,
+)
 from streamfp.learner import (
     BatchSummary,
     EmbeddingBatch,
@@ -350,7 +356,7 @@ def test_token_means_are_ndarray_mean_bits(tokens, dim, dtype):
     scales = 10.0 ** rng.integers(-30, 31, size=(b, 1, 1))
     x = (rng.standard_normal((b, tokens, dim)) * scales).astype(dtype)
     want = x.mean(axis=1)
-    assert (x.sum(axis=1) / tokens).tobytes() == want.tobytes()
+    assert token_means(x).tobytes() == want.tobytes()
     batch = EmbeddingBatch(x, np.arange(b), np.arange(b))
     assert batch.summary().means.tobytes() == want.tobytes()
     buf = RehearsalBuffer(b)
@@ -403,6 +409,21 @@ class TestTrainStep:
                                             np.zeros((1, 3, 3)),
                                             np.zeros((1, 3, 3))),
                            learning_rate=-0.1)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: RehearsalBuffer(2.5), "capacity"),
+    (lambda: small_model(lr=float("nan")), "learning_rate"),
+    (lambda: small_model(lr=float("inf")), "learning_rate"),
+    (lambda: PrototypeModel.init_random(3, 4, 2, 2, 2, substream(1, "model"), grad_steps=1.5),
+     "grad_steps"),
+], ids=["capacity-2.5", "learning-rate-nan", "learning-rate-inf", "grad-steps-1.5"])
+def test_bad_library_input_raises_at_construction_naming_it(build, name):
+    # each used to be accepted: the buffer held int(2.5) = 2, NaN < 0 is
+    # False, an infinite rate trained to NaN parameters, and 1.5 steps
+    # failed only later, inside range()
+    with pytest.raises(ValueError, match=name):
+        build()
 
 
 class TestEvaluate:

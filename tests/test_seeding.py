@@ -69,9 +69,15 @@ SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 7]
 INDICES = [0, 1, 2**32 - 1, 2**32, 2**62]
 
 
+def indexed_generators(seed, label, indices):
+    """The vectorised path: one generator per index of an index array."""
+    return state_generators(indexed_states(seed, label, indices))
+
+
 class TestIndexedDerivation:
-    """substream_indexed derives SeedSequence's state itself, vectorised over
-    indices; NumPy's own SeedSequence is the oracle."""
+    """indexed_states derives SeedSequence's state itself, vectorised over
+    indices, and substream_indexed seeds one index's generator; NumPy's own
+    SeedSequence is the oracle."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("index", INDICES)
@@ -82,7 +88,7 @@ class TestIndexedDerivation:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_array_matches_seed_sequence(self, seed):
         indices = np.array(INDICES, dtype=np.int64)
-        rngs = list(substream_indexed(seed, "sample-task3", indices))
+        rngs = list(indexed_generators(seed, "sample-task3", indices))
         assert len(rngs) == len(INDICES)
         for rng, index in zip(rngs, INDICES):
             assert_same_draws(rng, oracle(seed, "sample-task3", index))
@@ -90,34 +96,35 @@ class TestIndexedDerivation:
     def test_mixed_word_counts_keep_their_order(self):
         # one-word and two-word indices interleaved, with a repeat
         indices = np.array([2**33 + 5, 3, 2**32, 2**32 - 1, 3, 2**63 - 1], dtype=np.int64)
-        for rng, index in zip(substream_indexed(5, "mix", indices), indices):
+        for rng, index in zip(indexed_generators(5, "mix", indices), indices):
             assert_same_draws(rng, substream_indexed(5, "mix", int(index)))
             assert_same_draws(substream_indexed(5, "mix", int(index)),
                               oracle(5, "mix", int(index)))
 
     def test_unsigned_and_numpy_scalar_indices(self):
         indices = np.array([2**64 - 1, 7], dtype=np.uint64)
-        for rng, index in zip(substream_indexed(9, "u", indices), [2**64 - 1, 7]):
+        for rng, index in zip(indexed_generators(9, "u", indices), [2**64 - 1, 7]):
             assert_same_draws(rng, oracle(9, "u", index))
         assert_same_draws(substream_indexed(9, "u", np.int64(7)), oracle(9, "u", 7))
 
     def test_empty_array_yields_nothing(self):
-        assert list(substream_indexed(1, "x", np.array([], dtype=np.int64))) == []
-        assert list(substream_indexed(1, "x", [])) == []
+        assert list(indexed_generators(1, "x", np.array([], dtype=np.int64))) == []
+        assert list(indexed_generators(1, "x", [])) == []
 
     def test_generators_are_built_lazily(self):
-        rngs = substream_indexed(1, "x", np.arange(3))
+        rngs = indexed_generators(1, "x", np.arange(3))
         assert not isinstance(rngs, (list, tuple, np.ndarray))
         assert isinstance(next(rngs), np.random.Generator)
 
     @pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (0, np.array([3, -2]))])
     def test_negative_seed_or_index_raises(self, seed, index):
+        derive = substream_indexed if np.ndim(index) == 0 else indexed_generators
         with pytest.raises(ValueError):
-            substream_indexed(seed, "x", index)
+            derive(seed, "x", index)
 
     def test_non_integer_index_raises(self):
         with pytest.raises(TypeError):
-            substream_indexed(0, "x", np.array([1.5]))
+            indexed_generators(0, "x", np.array([1.5]))
         with pytest.raises(TypeError):
             substream_indexed(0, "x", 1.5)
 
@@ -128,7 +135,7 @@ class TestIndexedDerivation:
         st.lists(st.integers(0, 2**63 - 1), max_size=6),
     )
     def test_property_matches_seed_sequence(self, seed, label, indices):
-        rngs = list(substream_indexed(seed, label, np.array(indices, dtype=np.int64)))
+        rngs = list(indexed_generators(seed, label, np.array(indices, dtype=np.int64)))
         assert len(rngs) == len(indices)
         for rng, index in zip(rngs, indices):
             assert_same_draws(rng, oracle(seed, label, index))
