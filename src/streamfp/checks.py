@@ -18,7 +18,7 @@ from .buffer import (
     weighted_sample_without_replacement,
 )
 from .coreset import check_quality_bound, select_coreset
-from .core_math import batch_similarity, l2_normalize
+from .core_math import l2_normalize, sum_similarity, unit_token_sums
 from .fingerprints import AttunementParams, FingerprintPool
 from .learner import EmbeddingBatch, PrototypeModel, loss_gradients, forward_loss
 from .seeding import substream, substream_indexed
@@ -41,7 +41,7 @@ def _median_window_deviation(b, sigma, trials, rng, dim=16, n_fp=4):
     for _ in range(trials):
         emb = rng.standard_normal((b, 1, dim))
         fp = rng.standard_normal((n_fp, dim))
-        s = batch_similarity(emb, fp)
+        s = sum_similarity(unit_token_sums(emb), fp, emb.shape[1])
         sel = select_coreset(s, sigma)
         devs.append(check_quality_bound(s, sel).deviation)
     return float(np.median(devs))
@@ -113,7 +113,7 @@ def _drift_stream_mmds(seed, tasks=5, batches_per_task=6, batch_size=20,
         center = np.cos(theta) * u + np.sin(theta) * v
         for _ in range(batches_per_task):
             emb = center[None, None, :] + 0.1 * rng.standard_normal((batch_size, 1, dim))
-            s = batch_similarity(emb, fp)
+            s = sum_similarity(unit_token_sums(emb), fp, emb.shape[1])
             ids = np.arange(seen.size, seen.size + batch_size)
             seen = np.concatenate([seen, s])
             batch = EmbeddingBatch(emb, np.full(batch_size, task), ids)

@@ -10,6 +10,7 @@ gradients through the loss.
 import logging
 import math
 import numbers
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,7 +128,7 @@ class SyntheticEmbedder:
     ):
         if n_classes < n_tasks:
             raise ValueError("need at least one class per task")
-        self.seed = int(seed)
+        self.seed = operator.index(seed)  # a float seed raises TypeError
         self.n_classes = int(n_classes)
         self.dim = int(dim)
         self.tokens = int(tokens)
@@ -273,10 +274,13 @@ class PrototypeModel:
         if not isinstance(self.grad_steps, numbers.Integral) or self.grad_steps < 1:
             raise ValueError(f"grad_steps must be an integer >= 1, got {self.grad_steps!r}")
 
-    def attuned_pool(self):
+    def attuned_pool(self, with_cache=False):
         """The attuned fingerprints summed over their length, shape (N, D):
-        ``attune(pool, attn)``."""
-        return attune(self.pool, self.attn)
+        ``attune(pool, attn)``. With ``with_cache``, ``(p_agg, cache)`` as
+        ``attune`` returns it, which ``train_step`` and ``loss_gradients``
+        take as ``attuned`` while the prototypes, pool and gate are
+        unchanged."""
+        return attune(self.pool, self.attn, with_cache=with_cache)
 
     def trainable_copy(self):
         """A model that trains apart from this one: its own copies of the
@@ -349,12 +353,18 @@ def forward_loss(model, batch, p_agg=None):
     return _cross_entropy(logits, labels)[0], logits
 
 
-def loss_gradients(model, batch):
-    """Analytic gradients of forward_loss w.r.t. prototypes, pool, gate."""
+def loss_gradients(model, batch, attuned=None):
+    """Analytic gradients of forward_loss w.r.t. prototypes, pool, gate.
+
+    ``attuned`` is ``model.attuned_pool(with_cache=True)`` at the model's
+    current parameters, computed when not given.
+    """
     summary = batch.summary()
     labels = _checked_labels(model, summary)
     bsz, tokens = len(summary), summary.tokens
-    p_agg, cache = attune(model.pool, model.attn, with_cache=True)
+    if attuned is None:
+        attuned = attune(model.pool, model.attn, with_cache=True)
+    p_agg, cache = attuned
     e_sum, pooled = summary.unit_sums, summary.means  # (b, D) each
     feat, logits = _features(model, summary, p_agg)
     loss, dlogits = _cross_entropy(logits, labels)
@@ -381,8 +391,13 @@ def loss_gradients(model, batch):
     return loss, grad_proto, grad_pool, grad_gate
 
 
-def train_step(model, batch, steps=None):
-    """K steps of gradient descent on {prototypes, pool, gate} in place."""
+def train_step(model, batch, steps=None, attuned=None):
+    """K steps of gradient descent on {prototypes, pool, gate} in place.
+
+    ``attuned`` is ``model.attuned_pool(with_cache=True)`` at the model's
+    current parameters; the first step reads it instead of attuning, and
+    the reference is dropped after that step.
+    """
     if steps is None:
         steps = model.grad_steps
     # the K steps read the same batch, so it is summarized once
@@ -391,13 +406,14 @@ def train_step(model, batch, steps=None):
     last_loss = None
     for _ in range(steps):
         if eta == 0.0:
-            last_loss, _ = forward_loss(model, batch)
-            continue
-        loss, g_proto, g_pool, g_gate = loss_gradients(model, batch)
-        model.prototypes -= eta * g_proto
-        model.pool.weights -= eta * g_pool
-        model.attn.gate -= eta * g_gate
-        last_loss = loss
+            last_loss, _ = forward_loss(model, batch, None if attuned is None else attuned[0])
+        else:
+            loss, g_proto, g_pool, g_gate = loss_gradients(model, batch, attuned)
+            model.prototypes -= eta * g_proto
+            model.pool.weights -= eta * g_pool
+            model.attn.gate -= eta * g_gate
+            last_loss = loss
+        attuned = None
     return model, last_loss
 
 
@@ -406,7 +422,9 @@ def evaluate(model, batch, p_agg=None):
     :class:`EmbeddingBatch` or its :class:`BatchSummary`.
 
     Pass ``p_agg = model.attuned_pool()`` to share one attunement across
-    several evaluation batches of the same model state.
+    several evaluation batches of the same model state; the driver passes
+    the one its checkpoint attuned, which it may also hand to the next
+    training step or carry to the next checkpoint.
     """
     if len(batch) == 0:
         raise ValueError("empty evaluation set")

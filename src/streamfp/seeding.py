@@ -24,8 +24,9 @@ def _label_key(label: str) -> int:
 
 
 def substream(master_seed: int, label: str) -> np.random.Generator:
-    """Return an independent generator for ``label`` under ``master_seed``."""
-    seq = np.random.SeedSequence([int(master_seed), _label_key(label)])
+    """Return an independent generator for ``label`` under ``master_seed``,
+    an integer (a float raises ``TypeError``)."""
+    seq = np.random.SeedSequence([operator.index(master_seed), _label_key(label)])
     return np.random.default_rng(seq)
 
 
@@ -129,7 +130,7 @@ def indexed_states(master_seed: int, label: str, indices):
     so the synthetic embedder calls this once per block of indices, not once
     per batch, and slices each batch's rows from the block.
     """
-    prefix = _words(int(master_seed)) + _words(_label_key(label))
+    prefix = _words(operator.index(master_seed)) + _words(_label_key(label))
     indices = np.asarray(indices)
     if indices.ndim != 1:
         raise ValueError(f"expected a 1-D index array, got shape {indices.shape}")
@@ -157,5 +158,6 @@ def substream_indexed(master_seed: int, label: str, index) -> np.random.Generato
     keyed by (task, sample index)). ``index`` is one non-negative integer;
     :func:`indexed_states` derives the states of a whole index array at once.
     """
-    seq = np.random.SeedSequence([int(master_seed), _label_key(label), operator.index(index)])
+    seq = np.random.SeedSequence(
+        [operator.index(master_seed), _label_key(label), operator.index(index)])
     return np.random.default_rng(seq)

@@ -425,14 +425,18 @@ def run_experiment(config):
         start = (batch_idx - task * batches_per_task) * config.batch_size
         return embedder.embed(task, np.arange(start, start + config.batch_size))
 
-    def run_batch(model, buffer, batch, timings, sigma):
+    def run_batch(model, buffer, batch, timings, sigma, handoff=()):
+        """One retained batch. A non-empty ``handoff`` holds the model's
+        ``attuned_pool(with_cache=True)``; it is popped into the training
+        step, so the cache is freed as soon as that step returns."""
         t0 = time.perf_counter()
         # the batch's one summary: everything below reads its rows
         summary = batch.summary()
         sel_idx, s = select(
             config.selector, sigma, summary, aggregate(model.pool), sel_rng)
         t1 = time.perf_counter()
-        train_step(model, summary.take(sel_idx, buffer.minibatch(len(sel_idx), retrieval_rng)))
+        train_step(model, summary.take(sel_idx, buffer.minibatch(len(sel_idx), retrieval_rng)),
+                   attuned=handoff.pop() if handoff else None)
         t2 = time.perf_counter()
         if config.buffer_policy == "streamfp":
             # only the exchange ranks the residents, and it runs on them only
@@ -529,17 +533,32 @@ def run_experiment(config):
     eval_indices = np.arange(eval_base, eval_base + config.eval_size)
     eval_sets = []
 
+    # retained is sorted, so each task's batches run in stream order
+    task_batches = [retained[task_of[retained] == task].tolist() for task in range(config.tasks)]
+    task_batches.append([])  # after the last task nothing trains
     timings = {"selection": 0.0, "train": 0.0, "buffer": 0.0, "eval": 0.0}
     acc_rows = []
+    # each parameter state is attuned once where it can be: p_agg is the
+    # attuned pool of the model's current parameters (None once a step
+    # changes them), and handoff holds a checkpoint's (p_agg, cache) for the
+    # next task's first training step. A checkpoint whose next task trains
+    # nothing keeps p_agg alone for the next checkpoint, so the cache is
+    # never held through an eval set's summary
+    p_agg, handoff = None, []
     for task in range(config.tasks):
-        # retained is sorted, so each task's batches run in stream order
-        for batch_idx in retained[task_of[retained] == task].tolist():
+        for batch_idx in task_batches[task]:
             batch = held.pop(batch_idx) if batch_idx in held else make_batch(batch_idx)
-            run_batch(model, buffer, batch, timings, run_sigma)
+            run_batch(model, buffer, batch, timings, run_sigma, handoff)
+            p_agg = None
         te = time.perf_counter()
         eval_sets.append(eval_embedder.summarize(task, eval_indices))
+        if p_agg is None:
+            if task_batches[task + 1]:
+                handoff.append(model.attuned_pool(with_cache=True))
+                p_agg = handoff[0][0]
+            else:
+                p_agg = model.attuned_pool()
         # one attunement serves every eval set of this checkpoint
-        p_agg = model.attuned_pool()
         acc_rows.append([evaluate(model, eval_set, p_agg) for eval_set in eval_sets])
         timings["eval"] += time.perf_counter() - te
 

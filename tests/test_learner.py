@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -401,6 +402,26 @@ class TestTrainStep:
         npt.assert_array_equal(model.pool.weights, before[1])
         npt.assert_array_equal(model.attn.gate, before[2])
 
+    @pytest.mark.parametrize("steps, lr", [(1, 0.1), (3, 0.1), (3, 0.0)], ids=["K1", "K3", "lr0"])
+    def test_handed_attunement_is_the_first_steps_own(self, steps, lr, monkeypatch):
+        batch = random_batch(25, b=12)
+        models = [small_model(seed=25, lr=lr) for _ in range(2)]
+        handed = models[0].attuned_pool(with_cache=True)
+        calls = []
+        original = learner.attune
+        monkeypatch.setattr(learner, "attune",
+                            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+        _, handed_loss = train_step(models[0], batch, steps=steps, attuned=handed)
+        handed_calls = len(calls)
+        _, own_loss = train_step(models[1], batch, steps=steps)
+        assert handed_loss == own_loss
+        handed_state, own_state = (
+            (m.prototypes.tobytes(), m.pool.weights.tobytes(), m.attn.gate.tobytes())
+            for m in models)
+        assert handed_state == own_state
+        # only the first step reads it
+        assert (handed_calls, len(calls) - handed_calls) == (steps - 1, steps)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PrototypeModel(np.zeros((2, 3)),
@@ -424,6 +445,36 @@ def test_bad_library_input_raises_at_construction_naming_it(build, name):
     # failed only later, inside range()
     with pytest.raises(ValueError, match=name):
         build()
+
+
+# two pinned runs: every task trains; and 10 batches over 5 tasks, of which
+# the skip schedule retains batches 5-7, so tasks 0, 1 and 4 train nothing
+HANDOFF_RUNS = [
+    dict(dataset_size=120, batch_size=10, tasks=3, n_classes=6, eval_size=30, seed=5),
+    dict(dataset_size=200, c_s_override=4),
+]
+HANDOFF_RUN_IDS = ["every-task-trains", "tasks-0-1-4-train-nothing"]
+
+
+def training_steps_per_task(config, monkeypatch):
+    """Run ``config``; return how many batches each task trained on. An eval
+    set is summarized at each checkpoint, so it closes a task."""
+    trains = [0]
+    step, summarize = stream_sim.train_step, SyntheticEmbedder.summarize
+
+    def counting_step(*args, **kwargs):
+        trains[-1] += 1
+        return step(*args, **kwargs)
+
+    def closing_summarize(*args, **kwargs):
+        trains.append(0)
+        return summarize(*args, **kwargs)
+
+    monkeypatch.setattr(stream_sim, "train_step", counting_step)
+    monkeypatch.setattr(SyntheticEmbedder, "summarize", closing_summarize)
+    stream_sim.run_experiment(config)
+    assert len(trains) == config.tasks + 1 and trains[-1] == 0
+    return trains[:-1]
 
 
 class TestEvaluate:
@@ -462,17 +513,21 @@ class TestEvaluate:
             assert evaluate(model, batch, p_att) == evaluate(model, batch)
 
     def test_run_accuracy_unchanged_by_sharing_checkpoint_attunement(self, monkeypatch):
-        config = stream_sim.StreamConfig(
-            dataset_size=120, batch_size=10, tasks=3, n_classes=6, eval_size=30,
-            pinned_batch_time=1e-9, learning_rate=0.3, seed=5,
-        )
-        shared = stream_sim.run_experiment(config)
-        # every eval set attunes for itself, as before attunement was shared
+        configs = [
+            stream_sim.StreamConfig(pinned_batch_time=1e-9, learning_rate=0.3, grad_steps=2, **overrides)
+            for overrides in HANDOFF_RUNS
+        ]
+        shared = [stream_sim.run_experiment(config).acc_rows for config in configs]
+        # every training step and every eval set attunes for itself, as
+        # before a checkpoint's attunement was shared
+        monkeypatch.setattr(stream_sim, "train_step",
+                            lambda model, batch, attuned=None: train_step(model, batch))
         monkeypatch.setattr(stream_sim, "evaluate",
-                            lambda model, batch, p_att=None: evaluate(model, batch))
-        assert stream_sim.run_experiment(config).acc_rows == shared.acc_rows
+                            lambda model, batch, p_agg=None: evaluate(model, batch))
+        assert [stream_sim.run_experiment(config).acc_rows for config in configs] == shared
 
-    def test_run_attunes_once_per_step_and_checkpoint(self, monkeypatch):
+    @pytest.mark.parametrize("overrides", HANDOFF_RUNS, ids=HANDOFF_RUN_IDS)
+    def test_run_attunes_each_parameter_state_once(self, overrides, monkeypatch):
         calls = []
         original = learner.attune
 
@@ -481,13 +536,78 @@ class TestEvaluate:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(learner, "attune", counting_attune)
-        config = stream_sim.StreamConfig(
-            dataset_size=120, batch_size=10, tasks=3, n_classes=6, eval_size=30,
-            pinned_batch_time=1e-9, grad_steps=2, seed=5,
-        )
-        report = stream_sim.run_experiment(config)
-        assert calls.count(True) == 2 * report.retained_batches
-        assert calls.count(False) == config.tasks
+        config = stream_sim.StreamConfig(pinned_batch_time=1e-9, grad_steps=2, **overrides)
+        trains = training_steps_per_task(config, monkeypatch)
+        retained = sum(trains)
+        # a checkpoint attunes where the parameters changed since the last
+        # one (or it is the first). It hands its cache to the next task's
+        # first step, which then attunes nothing; where that task trains
+        # nothing it attunes without the cache, and the next task that
+        # trains attunes the same parameters again
+        attunes = [t == 0 or trains[t] > 0 for t in range(config.tasks)]
+        again = sum(attunes[t] and trains[t + 1] == 0 and any(trains[t + 1:])
+                    for t in range(config.tasks - 1))
+        assert calls.count(True) == 2 * retained
+        assert calls.count(False) == 1 + again
+        if overrides.get("c_s_override") == 4:
+            # the pool goes to the next checkpoint (0 to 1, and 3 to 4), and
+            # checkpoint 2's cache to task 3's first step
+            assert (trains, again) == ([0, 0, 1, 2, 0], 1)
+        else:
+            assert min(trains) > 0 and again == 0
+
+    @pytest.mark.parametrize("overrides", HANDOFF_RUNS, ids=HANDOFF_RUN_IDS)
+    def test_run_hands_on_only_the_current_attunement(self, overrides, monkeypatch):
+        # every attunement the driver passes on has the bits of attuning the
+        # model's current parameters afresh; the accuracy alone barely moves
+        # with a stale pool, so it is compared directly
+        handed = []
+
+        def checking_step(model, batch, attuned=None):
+            if attuned is not None:
+                fresh = model.attuned_pool(with_cache=True)
+                assert [a.tobytes() for a in (attuned[0], *attuned[1])] == [
+                    a.tobytes() for a in (fresh[0], *fresh[1])]
+                handed.append(1)
+            return train_step(model, batch, attuned=attuned)
+
+        def checking_evaluate(model, batch, p_agg=None):
+            assert p_agg.tobytes() == model.attuned_pool().tobytes()
+            return evaluate(model, batch, p_agg)
+
+        monkeypatch.setattr(stream_sim, "train_step", checking_step)
+        monkeypatch.setattr(stream_sim, "evaluate", checking_evaluate)
+        config = stream_sim.StreamConfig(pinned_batch_time=1e-9, grad_steps=2, **overrides)
+        stream_sim.run_experiment(config)
+        # every checkpoint but the last hands on its cache where the next
+        # task trains; in the second run only checkpoint 2's next task does
+        assert len(handed) == (1 if overrides.get("c_s_override") == 4 else config.tasks - 1)
+
+    def test_run_frees_a_cache_when_its_step_returns(self, monkeypatch):
+        # no attunement cache outlives its training step: none is alive
+        # while the buffer is updated or an eval set is summarized
+        slopes = []
+        original = learner.attune
+
+        def tracking_attune(*args, **kwargs):
+            result = original(*args, **kwargs)
+            if kwargs.get("with_cache"):
+                slopes.append(weakref.ref(result[1].gelu_slope))
+            return result
+
+        def no_cache_alive(fn):
+            def checked(*args, **kwargs):
+                assert all(slope() is None for slope in slopes)
+                return fn(*args, **kwargs)
+            return checked
+
+        monkeypatch.setattr(learner, "attune", tracking_attune)
+        monkeypatch.setattr(stream_sim, "update_buffer", no_cache_alive(stream_sim.update_buffer))
+        monkeypatch.setattr(SyntheticEmbedder, "summarize", no_cache_alive(SyntheticEmbedder.summarize))
+        config = stream_sim.StreamConfig(pinned_batch_time=1e-9, **HANDOFF_RUNS[1])
+        trains = training_steps_per_task(config, monkeypatch)
+        # one cache per step, of which the one handed from checkpoint 2
+        assert len(slopes) == sum(trains) == 3
 
     def test_empty_eval_raises(self):
         model = small_model()

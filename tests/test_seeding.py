@@ -141,6 +141,21 @@ class TestIndexedDerivation:
             assert_same_draws(rng, oracle(seed, label, index))
 
 
+@pytest.mark.parametrize("seed", [1.7, 1.0, np.float64(1.0), "1"])
+@pytest.mark.parametrize("derive", [
+    lambda seed: substream(seed, "x"),
+    lambda seed: indexed_states(seed, "x", np.arange(2)),
+    lambda seed: substream_indexed(seed, "x", 0),
+    lambda seed: learner.SyntheticEmbedder(seed=seed, n_classes=2, dim=3, tokens=1, n_tasks=1),
+], ids=["substream", "indexed_states", "substream_indexed", "SyntheticEmbedder"])
+def test_non_integer_master_seed_raises(derive, seed):
+    # a master seed taken through int() was truncated: a seed of 1.7 drew
+    # what a seed of 1 draws
+    with pytest.raises(TypeError):
+        derive(seed)
+    derive(np.int64(1))  # a NumPy integer is an integer
+
+
 def test_embedding_a_batch_derives_its_seeds_once(monkeypatch):
     calls = []
 
