@@ -40,10 +40,11 @@ class RehearsalBuffer:
 
     The store keeps one array per column, of which the first ``len(self)``
     rows are live; it grows all of them together, geometrically, so a full
-    fill copies each resident O(1) times. Every write goes through
+    fill copies each resident O(1) times. The embeddings are stored as
+    float64, whatever the offer's dtype. Every write goes through
     ``_write``, which sets every column of the rows it writes, the rows'
     unit-token sums included: the offer's own sums when it comes with them,
-    else the rows normalized once as they are stored."""
+    else its rows normalized once, whole, as the policy takes the offer."""
 
     # the per-resident arrays, grown together
     _COLUMNS = ("_embeddings", "_sums", "_ids", "_labels", "_similarity")
@@ -119,17 +120,17 @@ class RehearsalBuffer:
             return 0
         start, end = self._len, self._len + n
         if end > self._ids.size:
-            self._grow(min(self.capacity, max(end, 2 * self._ids.size)), batch.embeddings)
+            self._grow(min(self.capacity, max(end, 2 * self._ids.size)), batch.embeddings.shape)
         self._len = end
         self._write(slice(start, end), batch, slice(0, n), similarity, sums)
         return n
 
-    def _grow(self, rows, emb):
+    def _grow(self, rows, shape):
         """Move every column into a new array of ``rows`` rows; the first
-        offer ``emb`` sets the embeddings' (L, D) and dtype."""
+        offer's (b, L, D) ``shape`` sets the embeddings' (L, D)."""
         if not self._ids.size:
-            self._embeddings = np.empty((0, *emb.shape[1:]), dtype=emb.dtype)
-            self._sums = np.empty((0, emb.shape[2]))
+            self._embeddings = np.empty((0, *shape[1:]))
+            self._sums = np.empty((0, shape[2]))
         for name in self._COLUMNS:
             old = getattr(self, name)
             new = np.empty((rows, *old.shape[1:]), dtype=old.dtype)
@@ -137,30 +138,25 @@ class RehearsalBuffer:
             setattr(self, name, new)
 
     def _write(self, slots, batch, rows, similarity, sums):
-        """Store the batch rows ``rows`` in ``slots``, every column of them.
-        The unit-token sums are those of the rows as stored: ``sums[rows]``
-        when the offer comes with its (b, D) sums, each row of which depends
-        on its own sample only; else, and where the store's dtype differs
-        from the offer's, the stored rows normalized."""
-        store = self._embeddings
-        store[slots] = batch.embeddings[rows]
-        if sums is None or store.dtype != batch.embeddings.dtype:
-            self._sums[slots] = unit_token_sums(store[slots])
-        else:
-            self._sums[slots] = sums[rows]
+        """Store the batch rows ``rows`` in ``slots``, every column of them,
+        the unit-token sums ``sums[rows]`` of the offer's (b, D) included."""
+        self._embeddings[slots] = batch.embeddings[rows]
+        self._sums[slots] = sums[rows]
         self._ids[slots] = batch.sample_ids[rows]
         self._labels[slots] = batch.labels[rows]
         self._similarity[slots] = similarity[rows]
 
 
 def _as_batch(buffer, offered, unit_sums):
-    """The offer as an EmbeddingBatch, stacking a BufferItem list; an empty
-    one stores nothing. Rows whose (L, D) differ from the residents', or
+    """The offer as an EmbeddingBatch, stacking a BufferItem list, and its
+    (b, D) unit-token sums: ``unit_sums``, else the whole offer's, which
+    are its stored rows' (``l2_normalize`` casts to float64). An empty list
+    stores nothing. Rows whose (L, D) differ from the residents', or
     ``unit_sums`` that are not (b, D), raise ValueError, before any policy
     writes, draws or counts them; a first offer sets the (L, D)."""
     if not isinstance(offered, EmbeddingBatch):
         if not offered:
-            return offered
+            return offered, None
         offered = EmbeddingBatch(
             np.stack([it.embedding for it in offered]),
             np.array([it.label for it in offered], dtype=np.int64),
@@ -173,7 +169,7 @@ def _as_batch(buffer, offered, unit_sums):
     if unit_sums is not None and np.shape(unit_sums) != (len(offered), got[1]):
         raise ValueError(f"unit_sums have shape {np.shape(unit_sums)}, "
                          f"the offer's are ({len(offered)}, {got[1]})")
-    return offered
+    return offered, unit_token_sums(offered.embeddings) if unit_sums is None else unit_sums
 
 
 def compute_update_count(b, m, n_seen, rng):
@@ -370,7 +366,7 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng, unit_sums=None):
             offer fits the room left or the buffer is empty.
         rng: generator driving the exchange-count draw and both samplings.
         unit_sums: the offer's (b, D) ``core_math.unit_token_sums``, which
-            its written rows store; None computes them from the stored rows.
+            its written rows store; None computes them from the offer once.
 
     Returns:
         The updated buffer (same object).
@@ -380,7 +376,7 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng, unit_sums=None):
             non-finite entry, or ``s_buffer`` is None for an offer that
             overflows a non-empty buffer; raised before any write or draw.
     """
-    batch = _as_batch(buffer, batch, unit_sums)
+    batch, sums = _as_batch(buffer, batch, unit_sums)
     s_batch = np.asarray(s_batch, dtype=np.float64)
     b = len(batch)
     if s_batch.shape != (b,):
@@ -399,7 +395,7 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng, unit_sums=None):
             raise ValueError(f"{name} must be finite")
     n_seen_before = buffer.n_seen
 
-    fill = buffer._append(batch, s_batch, unit_sums)
+    fill = buffer._append(batch, s_batch, sums)
     if fill < b:  # Retain-Drop exchange on the rows that did not fit
         # the cores' preconditions hold by construction: every policy counts
         # each row it stores in n_seen, so at most n_seen_before residents
@@ -425,7 +421,7 @@ def update_buffer(buffer, batch, s_batch, s_buffer, rng, unit_sums=None):
             else:
                 retain = weighted_sample_without_replacement(pi_batch, nu, rng)
             drop = weighted_sample_without_replacement(1.0 - pi_buffer, nu, rng)
-            buffer._write(np.array(drop), batch, fill + np.array(retain), s_batch, unit_sums)
+            buffer._write(np.array(drop), batch, fill + np.array(retain), s_batch, sums)
     buffer.n_seen += b
     return buffer
 
@@ -440,9 +436,9 @@ def reservoir_update(buffer, batch, rng, unit_sums=None):
     Each slot drawn keeps the last row drawn for it, and all of them are
     written at once. ``unit_sums`` are the offer's, as in ``update_buffer``.
     """
-    batch = _as_batch(buffer, batch, unit_sums)
+    batch, sums = _as_batch(buffer, batch, unit_sums)
     s_batch = np.zeros(len(batch))
-    fill = buffer._append(batch, s_batch, unit_sums)
+    fill = buffer._append(batch, s_batch, sums)
     buffer.n_seen += fill
     rest = len(batch) - fill
     if rest:
@@ -451,15 +447,15 @@ def reservoir_update(buffer, batch, rng, unit_sums=None):
         hits = np.flatnonzero(slots < buffer.capacity)[::-1]  # the last first
         kept, last = np.unique(slots[hits], return_index=True)
         if kept.size:
-            buffer._write(kept, batch, fill + hits[last], s_batch, unit_sums)
+            buffer._write(kept, batch, fill + hits[last], s_batch, sums)
     return buffer
 
 
 def keep_first_update(buffer, batch, unit_sums=None):
     """Fill-once baseline: residents are never replaced; unscored.
     ``unit_sums`` are the offer's, as in ``update_buffer``."""
-    batch = _as_batch(buffer, batch, unit_sums)
-    buffer._append(batch, np.zeros(len(batch)), unit_sums)
+    batch, sums = _as_batch(buffer, batch, unit_sums)
+    buffer._append(batch, np.zeros(len(batch)), sums)
     buffer.n_seen += len(batch)
     return buffer
 

@@ -15,6 +15,9 @@ import numpy as np
 
 from .core_math import _NDTR_BLOCK, gelu, gelu_with_grad, token_means
 
+# the standard deviation of a random pool's entries
+POOL_INIT_SCALE = 0.02
+
 
 @dataclass
 class FingerprintPool:
@@ -51,8 +54,8 @@ class FingerprintPool:
         return self.weights.shape[2]
 
     @classmethod
-    def init_random(cls, count, length, dim, rng, scale=0.02):
-        return cls(scale * rng.standard_normal((count, length, dim)))
+    def init_random(cls, count, length, dim, rng):
+        return cls(POOL_INIT_SCALE * rng.standard_normal((count, length, dim)))
 
 
 def _random_orthogonal(dim, rng, out):

@@ -317,9 +317,13 @@ def _cross_entropy(logits, labels):
 
 
 def _checked_labels(model, batch):
-    """The batch labels as int64; any outside the prototype set raises
-    ``ValueError`` (a -1 would otherwise index the last class)."""
-    labels = np.asarray(batch.labels, dtype=np.int64)
+    """The batch labels as int64. A non-integer dtype (bool included), which
+    the cast would truncate, or a label outside the prototype set (a -1
+    would otherwise index the last class) raises ``ValueError``."""
+    labels = np.asarray(batch.labels)
+    if not np.issubdtype(labels.dtype, np.integer):  # NumPy's bool is not one
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    labels = labels.astype(np.int64, copy=False)
     if (labels < 0).any() or (labels >= model.prototypes.shape[0]).any():
         raise ValueError("label out of range for the prototype set")
     return labels
@@ -391,30 +395,26 @@ def loss_gradients(model, batch, attuned=None):
     return loss, grad_proto, grad_pool, grad_gate
 
 
-def train_step(model, batch, steps=None, attuned=None):
-    """K steps of gradient descent on {prototypes, pool, gate} in place.
+def train_step(model, batch, attuned=None):
+    """``model.grad_steps`` steps of gradient descent on {prototypes, pool,
+    gate} in place, at any learning rate: at 0 no parameter moves, since
+    ``x - 0.0 * g == x`` for a finite gradient.
 
     ``attuned`` is ``model.attuned_pool(with_cache=True)`` at the model's
     current parameters; the first step reads it instead of attuning, and
     the reference is dropped after that step.
     """
-    if steps is None:
-        steps = model.grad_steps
     # the K steps read the same batch, so it is summarized once
     batch = batch.summary()
     eta = model.learning_rate
-    last_loss = None
-    for _ in range(steps):
-        if eta == 0.0:
-            last_loss, _ = forward_loss(model, batch, None if attuned is None else attuned[0])
-        else:
-            loss, g_proto, g_pool, g_gate = loss_gradients(model, batch, attuned)
-            model.prototypes -= eta * g_proto
-            model.pool.weights -= eta * g_pool
-            model.attn.gate -= eta * g_gate
-            last_loss = loss
+    loss = None
+    for _ in range(model.grad_steps):
+        loss, g_proto, g_pool, g_gate = loss_gradients(model, batch, attuned)
+        model.prototypes -= eta * g_proto
+        model.pool.weights -= eta * g_pool
+        model.attn.gate -= eta * g_gate
         attuned = None
-    return model, last_loss
+    return model, loss
 
 
 def evaluate(model, batch, p_agg=None):

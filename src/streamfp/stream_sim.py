@@ -447,13 +447,11 @@ def run_experiment(config):
             # partly filled buffer ranks both kinds in one drop ranking: the
             # residents beside the rows that filled the room (at b=20 and
             # m=102, the 6th offer: 2 rows fill it after 100 residents)
-            overflows = buffer.overflows(len(batch))
-            if s is None or overflows:
-                p_agg = aggregate(model.pool)
+            p_agg = aggregate(model.pool)
             if s is None:
                 s = sum_similarity(summary.unit_sums, p_agg, summary.tokens)
             s_buf = None
-            if overflows:
+            if buffer.overflows(len(batch)):
                 # residents' embeddings never change, and the buffer stores
                 # the unit-token sums of each batch's summary with them, so
                 # only the fingerprint side is new

@@ -594,9 +594,12 @@ class TestUnitTokenSumsCache:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_writes_normalize_and_reads_do_not(self, monkeypatch, dtype):
-        # each policy's writes store the sums; reading them or drawing a
+        # each policy normalizes an offer without sums at most once, whole,
+        # also one that straddles the room left (a fill write, then an
+        # exchange or reservoir write); reading the stored sums or drawing a
         # mini-batch normalizes nothing, and the sums equal recomputing
-        # them from the store, also for a float32 store offered float64 rows
+        # them from the store, also after a float32 first offer, which the
+        # store keeps as float64
         calls = []
 
         def counting(emd):
@@ -608,16 +611,18 @@ class TestUnitTokenSumsCache:
         for policy in ("streamfp", "reservoir", "keep_first"):
             buf = RehearsalBuffer(6)
             for i, batch in enumerate(offer_stream((4, 5, 7, 1, 8), tokens=3, dim=5, seed=7)):
-                if i == 0:  # the first offer sets the store's dtype
+                if i == 0:
                     batch = EmbeddingBatch(batch.embeddings.astype(dtype), batch.labels,
                                            batch.sample_ids)
+                before = len(calls)
                 offer(policy, buf, batch, rng)
+                assert calls[before:] in ([], [len(batch)])
                 written = len(calls)
                 for _ in range(3):
                     sums = buf.unit_token_sums()
                     buf.minibatch(4, rng)
                 assert len(calls) == written
-                assert buf.embeddings().dtype == dtype
+                assert buf.embeddings().dtype == np.float64
                 assert sums.tobytes() == unit_token_sums(buf.embeddings()).tobytes()
         assert calls
 
@@ -1038,8 +1043,9 @@ class TestOfferSums:
     @pytest.mark.parametrize("policy", ["streamfp", "reservoir", "keep_first"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_offered_sums_equal_normalizing_the_stored_rows(self, monkeypatch, policy, dtype):
-        # a float32 store offered float64 rows stores rounded rows, whose
-        # sums are not the offer's: only those writes normalize
+        # a float32 first offer is stored as float64, exactly, and its sums
+        # are those of the rows as stored: no offer that comes with its sums
+        # normalizes anything
         calls = []
 
         def counting(emd):
@@ -1052,7 +1058,7 @@ class TestOfferSums:
         given, plain = RehearsalBuffer(6), RehearsalBuffer(6)
         normalized = []  # rows normalized by each offer that came with its sums
         for i, batch in enumerate(offer_stream((4, 5, 7, 1, 8, 9), tokens=3, dim=5, seed=8)):
-            if i == 0:  # the first offer sets the store's dtype
+            if i == 0:
                 batch = EmbeddingBatch(batch.embeddings.astype(dtype), batch.labels,
                                        batch.sample_ids)
             sums = batch.summary().unit_sums
@@ -1072,14 +1078,11 @@ class TestOfferSums:
                 normalized.append(sum(calls))
                 keep_first_update(plain, batch)
             assert self.columns(given) == self.columns(plain)
+            assert given.embeddings().dtype == np.float64
             assert given.unit_token_sums().tobytes() == \
                 unit_token_sums(given.embeddings()).tobytes()
             assert rng.bit_generator.state == twin.bit_generator.state
-        assert normalized[0] == 0
-        if dtype == np.float64:
-            assert normalized == [0] * 6
-        else:
-            assert sum(normalized) > 0
+        assert normalized == [0] * 6
 
     @pytest.mark.parametrize("policy", ["streamfp", "reservoir", "keep_first"])
     @pytest.mark.parametrize("shape", [(3, 5), (4, 4), (4,)])

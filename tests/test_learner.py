@@ -194,6 +194,20 @@ class TestForwardLoss:
             train_step(model, batch)
         npt.assert_array_equal(model.prototypes, before)
 
+    @pytest.mark.parametrize("labels", [[0.7, 1.9, 0.0], [True, False, True]],
+                             ids=["float", "bool"])
+    def test_non_integer_labels_raise(self, labels):
+        # an int64 cast would train 0.7 and 1.9 as classes 0 and 1, while
+        # evaluate compared its predictions with the floats
+        model = small_model(n_classes=3)
+        batch = random_batch(14, b=3, n_classes=3)
+        batch.labels = np.array(labels)
+        before = model.prototypes.copy()
+        for run in (forward_loss, loss_gradients, train_step, evaluate):
+            with pytest.raises(ValueError, match="labels must be integers"):
+                run(model, batch)
+        npt.assert_array_equal(model.prototypes, before)
+
     def test_loss_decreases_under_training(self):
         model = small_model(seed=15, lr=0.2)
         batch = random_batch(15)
@@ -360,18 +374,21 @@ def test_token_means_are_ndarray_mean_bits(tokens, dim, dtype):
     assert token_means(x).tobytes() == want.tobytes()
     batch = EmbeddingBatch(x, np.arange(b), np.arange(b))
     assert batch.summary().means.tobytes() == want.tobytes()
+    # the buffer stores the rows as float64, so its means are theirs
     buf = RehearsalBuffer(b)
     keep_first_update(buf, batch)
     drawn = buf.minibatch(b, rng)
-    assert drawn.means.tobytes() == want[drawn.labels].tobytes()
+    stored = x.astype(np.float64).mean(axis=1)
+    assert drawn.means.tobytes() == stored[drawn.labels].tobytes()
 
 
 class TestTrainStep:
     def test_zero_learning_rate_freezes_params(self):
         model = small_model(lr=0.0)
+        model.grad_steps = 3
         before = (model.prototypes.tobytes(), model.pool.weights.tobytes(),
                   model.attn.gate.tobytes())
-        train_step(model, random_batch(17), steps=3)
+        train_step(model, random_batch(17))
         after = (model.prototypes.tobytes(), model.pool.weights.tobytes(),
                  model.attn.gate.tobytes())
         assert before == after
@@ -380,8 +397,9 @@ class TestTrainStep:
         batch = random_batch(18)
         m1 = small_model(seed=18, lr=0.05)
         m2 = small_model(seed=18, lr=0.05)
-        train_step(m1, batch, steps=1)
-        train_step(m2, batch, steps=4)
+        m2.grad_steps = 4
+        train_step(m1, batch)
+        train_step(m2, batch)
         d1 = np.linalg.norm(m1.prototypes - small_model(seed=18).prototypes)
         d2 = np.linalg.norm(m2.prototypes - small_model(seed=18).prototypes)
         assert d2 > d1
@@ -394,7 +412,8 @@ class TestTrainStep:
         assert copy.attn.values is model.attn.values
         assert (copy.learning_rate, copy.grad_steps) == \
             (model.learning_rate, model.grad_steps)
-        train_step(copy, random_batch(24), steps=2)
+        copy.grad_steps = 2
+        train_step(copy, random_batch(24))
         assert not np.array_equal(copy.prototypes, before[0])
         assert not np.array_equal(copy.pool.weights, before[1])
         assert not np.array_equal(copy.attn.gate, before[2])
@@ -406,14 +425,16 @@ class TestTrainStep:
     def test_handed_attunement_is_the_first_steps_own(self, steps, lr, monkeypatch):
         batch = random_batch(25, b=12)
         models = [small_model(seed=25, lr=lr) for _ in range(2)]
+        for model in models:
+            model.grad_steps = steps
         handed = models[0].attuned_pool(with_cache=True)
         calls = []
         original = learner.attune
         monkeypatch.setattr(learner, "attune",
                             lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
-        _, handed_loss = train_step(models[0], batch, steps=steps, attuned=handed)
+        _, handed_loss = train_step(models[0], batch, attuned=handed)
         handed_calls = len(calls)
-        _, own_loss = train_step(models[1], batch, steps=steps)
+        _, own_loss = train_step(models[1], batch)
         assert handed_loss == own_loss
         handed_state, own_state = (
             (m.prototypes.tobytes(), m.pool.weights.tobytes(), m.attn.gate.tobytes())
