@@ -149,7 +149,8 @@ class RehearsalBuffer:
 
 def _as_batch(buffer, offered, unit_sums):
     """The offer as an EmbeddingBatch, stacking a BufferItem list, and its
-    (b, D) unit-token sums: ``unit_sums``, else the whole offer's, which
+    (b, D) unit-token sums: ``unit_sums`` as a float64 array (a nested list
+    included), else the whole offer's, which
     are its stored rows' (``l2_normalize`` casts to float64). An empty list
     stores nothing. Rows whose (L, D) differ from the residents', or
     ``unit_sums`` that are not (b, D), raise ValueError, before any policy
@@ -166,10 +167,13 @@ def _as_batch(buffer, offered, unit_sums):
     if len(buffer) and got != stored:
         raise ValueError(f"offered rows have shape (L, D) = {got}, "
                          f"the buffer stores rows of shape {stored}")
-    if unit_sums is not None and np.shape(unit_sums) != (len(offered), got[1]):
-        raise ValueError(f"unit_sums have shape {np.shape(unit_sums)}, "
+    if unit_sums is None:
+        return offered, unit_token_sums(offered.embeddings)
+    unit_sums = np.asarray(unit_sums, dtype=np.float64)
+    if unit_sums.shape != (len(offered), got[1]):
+        raise ValueError(f"unit_sums have shape {unit_sums.shape}, "
                          f"the offer's are ({len(offered)}, {got[1]})")
-    return offered, unit_token_sums(offered.embeddings) if unit_sums is None else unit_sums
+    return offered, unit_sums
 
 
 def compute_update_count(b, m, n_seen, rng):

@@ -83,10 +83,6 @@ class BatchSummary:
     def __len__(self):
         return self.labels.shape[0]
 
-    def summary(self):
-        """This summary itself."""
-        return self
-
     def take(self, rows, then=None):
         """The summary of this one's ``rows``, followed by every row of the
         summary ``then`` when one is given: the same bits as summarizing
@@ -345,31 +341,29 @@ def _features(model, summary, p_agg):
     return feat, feat @ model.prototypes.T
 
 
-def forward_loss(model, batch, p_agg=None):
-    """Cross-entropy loss and logits of the prototype classifier on an
-    :class:`EmbeddingBatch` or its :class:`BatchSummary`.
+def forward_loss(model, summary, p_agg=None):
+    """Cross-entropy loss and logits of the prototype classifier on a
+    :class:`BatchSummary`.
 
     ``p_agg`` is ``model.attuned_pool()``, computed when not given.
     """
-    summary = batch.summary()
     labels = _checked_labels(model, summary)
     _, logits = _features(model, summary, p_agg)
     return _cross_entropy(logits, labels)[0], logits
 
 
-def loss_gradients(model, batch, attuned=None):
+def loss_gradients(model, summary, attuned=None):
     """Analytic gradients of forward_loss w.r.t. prototypes, pool, gate.
 
     ``attuned`` is ``model.attuned_pool(with_cache=True)`` at the model's
     current parameters, computed when not given.
     """
-    summary = batch.summary()
     labels = _checked_labels(model, summary)
+    e_sum, pooled = summary.unit_sums, summary.means  # (b, D) each
     bsz, tokens = len(summary), summary.tokens
     if attuned is None:
         attuned = attune(model.pool, model.attn, with_cache=True)
     p_agg, cache = attuned
-    e_sum, pooled = summary.unit_sums, summary.means  # (b, D) each
     feat, logits = _features(model, summary, p_agg)
     loss, dlogits = _cross_entropy(logits, labels)
     dlogits[np.arange(bsz), labels] -= 1.0
@@ -395,44 +389,42 @@ def loss_gradients(model, batch, attuned=None):
     return loss, grad_proto, grad_pool, grad_gate
 
 
-def train_step(model, batch, attuned=None):
+def train_step(model, summary, attuned=None):
     """``model.grad_steps`` steps of gradient descent on {prototypes, pool,
-    gate} in place, at any learning rate: at 0 no parameter moves, since
-    ``x - 0.0 * g == x`` for a finite gradient.
+    gate} of a :class:`BatchSummary`, in place, at any learning rate: at 0
+    no parameter moves, since ``x - 0.0 * g == x`` for a finite gradient.
+    Returns the loss of the last step, before its update.
 
     ``attuned`` is ``model.attuned_pool(with_cache=True)`` at the model's
     current parameters; the first step reads it instead of attuning, and
     the reference is dropped after that step.
     """
-    # the K steps read the same batch, so it is summarized once
-    batch = batch.summary()
     eta = model.learning_rate
     loss = None
     for _ in range(model.grad_steps):
-        loss, g_proto, g_pool, g_gate = loss_gradients(model, batch, attuned)
+        loss, g_proto, g_pool, g_gate = loss_gradients(model, summary, attuned)
         model.prototypes -= eta * g_proto
         model.pool.weights -= eta * g_pool
         model.attn.gate -= eta * g_gate
         attuned = None
-    return model, loss
+    return loss
 
 
-def evaluate(model, batch, p_agg=None):
-    """Argmax-logit accuracy of the model on an evaluation batch, an
-    :class:`EmbeddingBatch` or its :class:`BatchSummary`.
+def evaluate(model, summary, p_agg=None):
+    """Argmax-logit accuracy of the model on the :class:`BatchSummary` of
+    an evaluation set.
 
     Pass ``p_agg = model.attuned_pool()`` to share one attunement across
     several evaluation batches of the same model state; the driver passes
     the one its checkpoint attuned, which it may also hand to the next
     training step or carry to the next checkpoint.
     """
-    if len(batch) == 0:
+    if len(summary) == 0:
         raise ValueError("empty evaluation set")
-    summary = batch.summary()
     _checked_labels(model, summary)
     _, logits = _features(model, summary, p_agg)
     pred = logits.argmax(axis=1)
-    return float(np.mean(pred == batch.labels))
+    return float(np.mean(pred == summary.labels))
 
 
 def average_accuracy(acc_rows):

@@ -1085,6 +1085,29 @@ class TestOfferSums:
         assert normalized == [0] * 6
 
     @pytest.mark.parametrize("policy", ["streamfp", "reservoir", "keep_first"])
+    def test_sums_as_a_nested_list_store_what_the_array_stores(self, policy):
+        # a list indexed by the exchange's retain rows raised TypeError after
+        # the fill had written, leaving rows stored but not counted in n_seen
+        rng, twin = substream(10, "offer-sums-list"), substream(10, "offer-sums-list")
+        scores = substream(10, "offer-sums-list-scores")
+        listed, arrayed = RehearsalBuffer(4), RehearsalBuffer(4)
+        for batch in offer_stream((3, 3, 5, 2), tokens=2, dim=5, seed=10):
+            sums = batch.summary().unit_sums
+            if policy == "streamfp":
+                s_batch = scores.uniform(-1, 1, size=len(batch))
+                s_buf = scores.uniform(-1, 1, size=len(listed))
+                update_buffer(listed, batch, s_batch, s_buf, rng, sums.tolist())
+                update_buffer(arrayed, batch, s_batch, s_buf, twin, sums)
+            elif policy == "reservoir":
+                reservoir_update(listed, batch, rng, sums.tolist())
+                reservoir_update(arrayed, batch, twin, sums)
+            else:
+                keep_first_update(listed, batch, sums.tolist())
+                keep_first_update(arrayed, batch, sums)
+            assert self.columns(listed) == self.columns(arrayed)
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("policy", ["streamfp", "reservoir", "keep_first"])
     @pytest.mark.parametrize("shape", [(3, 5), (4, 4), (4,)])
     def test_sums_of_the_wrong_shape_raise_and_change_nothing(self, policy, shape):
         rng = substream(9, "offer-sums-shape")

@@ -169,14 +169,14 @@ class TestForwardLoss:
         # zero prototypes -> all logits equal -> loss = ln(K_cls)
         model = small_model(n_classes=5)
         model.prototypes[:] = 0.0
-        batch = random_batch(13, n_classes=5)
+        batch = random_batch(13, n_classes=5).summary()
         loss, logits = forward_loss(model, batch)
         assert loss == pytest.approx(np.log(5))
         npt.assert_allclose(logits, 0.0, atol=1e-12)
 
     def test_label_out_of_range(self):
         model = small_model(n_classes=3)
-        batch = random_batch(14, n_classes=3)
+        batch = random_batch(14, n_classes=3).summary()
         batch.labels[0] = 7
         with pytest.raises(ValueError):
             forward_loss(model, batch)
@@ -185,7 +185,7 @@ class TestForwardLoss:
     def test_gradient_path_rejects_label_out_of_range(self, bad):
         # -1 would index the last class, 3 (= K) past the prototype set
         model = small_model(n_classes=3)
-        batch = random_batch(14, n_classes=3)
+        batch = random_batch(14, n_classes=3).summary()
         batch.labels[0] = bad
         with pytest.raises(ValueError, match="label out of range"):
             loss_gradients(model, batch)
@@ -200,7 +200,7 @@ class TestForwardLoss:
         # an int64 cast would train 0.7 and 1.9 as classes 0 and 1, while
         # evaluate compared its predictions with the floats
         model = small_model(n_classes=3)
-        batch = random_batch(14, b=3, n_classes=3)
+        batch = random_batch(14, b=3, n_classes=3).summary()
         batch.labels = np.array(labels)
         before = model.prototypes.copy()
         for run in (forward_loss, loss_gradients, train_step, evaluate):
@@ -210,7 +210,7 @@ class TestForwardLoss:
 
     def test_loss_decreases_under_training(self):
         model = small_model(seed=15, lr=0.2)
-        batch = random_batch(15)
+        batch = random_batch(15).summary()
         loss0, _ = forward_loss(model, batch)
         for _ in range(30):
             train_step(model, batch)
@@ -219,7 +219,7 @@ class TestForwardLoss:
 
     def test_gradients_match_finite_differences(self):
         model = small_model(seed=16)
-        batch = random_batch(16, b=4)
+        batch = random_batch(16, b=4).summary()
         _, g_proto, g_pool, g_gate = loss_gradients(model, batch)
 
         def loss():
@@ -287,16 +287,18 @@ class TestLossGradientsGolden:
 
     @pytest.mark.parametrize("shape", sorted(CASES), ids=str)
     def test_outputs_match_recorded_digests(self, shape):
-        loss, *grads = loss_gradients(*self.case(*shape))
+        model, batch = self.case(*shape)
+        loss, *grads = loss_gradients(model, batch.summary())
         assert (loss, tuple(_digest(g) for g in grads)) == self.CASES[shape]
 
     @pytest.mark.parametrize("shape", ORACLE_CASES, ids=str)
     def test_matches_per_token_reference_attunement(self, shape, monkeypatch):
         model, batch = self.case(*shape)
-        loss, *grads = loss_gradients(model, batch)
+        summary = batch.summary()
+        loss, *grads = loss_gradients(model, summary)
         monkeypatch.setattr(learner, "attune", token_reference_attune)
         monkeypatch.setattr(learner, "attune_backward", token_reference_attune_backward)
-        ref_loss, *ref_grads = loss_gradients(model, batch)
+        ref_loss, *ref_grads = loss_gradients(model, summary)
         assert loss == pytest.approx(ref_loss, rel=self.ORACLE_RTOL, abs=0)
         for g, g_ref in zip(grads, ref_grads):
             npt.assert_allclose(g, g_ref, rtol=self.ORACLE_RTOL,
@@ -350,14 +352,13 @@ ONE_NORMALIZATION_CASES = [
 @pytest.mark.parametrize("shape", ONE_NORMALIZATION_CASES, ids=str)
 def test_loss_gradients_are_the_twice_normalized_formula(shape):
     model, batch = TestLossGradientsGolden.case(*shape)
-    loss, *grads = loss_gradients(model, batch)
+    summary = batch.summary()
+    loss, *grads = loss_gradients(model, summary)
     want_loss, *want = twice_normalized_loss_gradients(model, batch)
     assert loss == want_loss
     assert all(g.tobytes() == w.tobytes() for g, w in zip(grads, want))
-    # the summary's path and forward_loss give the same loss
-    summary = batch.summary()
-    assert loss_gradients(model, summary)[0] == loss
-    assert forward_loss(model, batch)[0] == loss
+    # forward_loss gives the same loss
+    assert forward_loss(model, summary)[0] == loss
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -388,13 +389,13 @@ class TestTrainStep:
         model.grad_steps = 3
         before = (model.prototypes.tobytes(), model.pool.weights.tobytes(),
                   model.attn.gate.tobytes())
-        train_step(model, random_batch(17))
+        train_step(model, random_batch(17).summary())
         after = (model.prototypes.tobytes(), model.pool.weights.tobytes(),
                  model.attn.gate.tobytes())
         assert before == after
 
     def test_multi_step_moves_further(self):
-        batch = random_batch(18)
+        batch = random_batch(18).summary()
         m1 = small_model(seed=18, lr=0.05)
         m2 = small_model(seed=18, lr=0.05)
         m2.grad_steps = 4
@@ -413,7 +414,7 @@ class TestTrainStep:
         assert (copy.learning_rate, copy.grad_steps) == \
             (model.learning_rate, model.grad_steps)
         copy.grad_steps = 2
-        train_step(copy, random_batch(24))
+        train_step(copy, random_batch(24).summary())
         assert not np.array_equal(copy.prototypes, before[0])
         assert not np.array_equal(copy.pool.weights, before[1])
         assert not np.array_equal(copy.attn.gate, before[2])
@@ -423,7 +424,7 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("steps, lr", [(1, 0.1), (3, 0.1), (3, 0.0)], ids=["K1", "K3", "lr0"])
     def test_handed_attunement_is_the_first_steps_own(self, steps, lr, monkeypatch):
-        batch = random_batch(25, b=12)
+        batch = random_batch(25, b=12).summary()
         models = [small_model(seed=25, lr=lr) for _ in range(2)]
         for model in models:
             model.grad_steps = steps
@@ -432,9 +433,9 @@ class TestTrainStep:
         original = learner.attune
         monkeypatch.setattr(learner, "attune",
                             lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
-        _, handed_loss = train_step(models[0], batch, attuned=handed)
+        handed_loss = train_step(models[0], batch, attuned=handed)
         handed_calls = len(calls)
-        _, own_loss = train_step(models[1], batch)
+        own_loss = train_step(models[1], batch)
         assert handed_loss == own_loss
         handed_state, own_state = (
             (m.prototypes.tobytes(), m.pool.weights.tobytes(), m.attn.gate.tobytes())
@@ -506,31 +507,31 @@ class TestEvaluate:
             rng.standard_normal((2000, 1, 6)),
             np.repeat([0, 1], 1000),
             np.arange(2000),
-        )
+        ).summary()
         acc = evaluate(model, batch)
         assert abs(acc - 0.5) < 0.05
 
     def test_separable_task_reaches_perfect_accuracy(self):
         emb = SyntheticEmbedder(seed=20, n_classes=2, dim=8, tokens=1,
                                 n_tasks=1, noise_std=0.0)
-        train = emb.embed(0, np.arange(40))
+        train = emb.embed(0, np.arange(40)).summary()
         model = PrototypeModel.init_random(2, 8, 2, 2, 2,
                                            substream(20, "m"),
                                            learning_rate=0.5)
         for _ in range(50):
             train_step(model, train)
-        assert evaluate(model, emb.embed(0, np.arange(100, 140))) == 1.0
+        assert evaluate(model, emb.summarize(0, np.arange(100, 140))) == 1.0
 
     def test_deterministic(self):
         model = small_model(seed=21)
-        batch = random_batch(21)
+        batch = random_batch(21).summary()
         assert evaluate(model, batch) == evaluate(model, batch)
 
     def test_shared_attunement_gives_same_accuracy(self):
         model = small_model(seed=22)
         p_att = model.attuned_pool()
         for seed in (22, 23):
-            batch = random_batch(seed)
+            batch = random_batch(seed).summary()
             assert evaluate(model, batch, p_att) == evaluate(model, batch)
 
     def test_run_accuracy_unchanged_by_sharing_checkpoint_attunement(self, monkeypatch):
@@ -633,12 +634,12 @@ class TestEvaluate:
     def test_empty_eval_raises(self):
         model = small_model()
         batch = EmbeddingBatch(np.zeros((0, 1, 4)), np.zeros(0, dtype=np.int64),
-                               np.zeros(0, dtype=np.int64))
+                               np.zeros(0, dtype=np.int64)).summary()
         with pytest.raises(ValueError):
             evaluate(model, batch)
 
     def test_evaluate_computes_no_loss(self, monkeypatch):
-        model, batch = small_model(seed=24), random_batch(24, b=40)
+        model, batch = small_model(seed=24), random_batch(24, b=40).summary()
         _, logits = forward_loss(model, batch)
         want = float(np.mean(logits.argmax(axis=1) == batch.labels))
 
@@ -647,7 +648,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(learner, "_cross_entropy", lost)
         assert evaluate(model, batch) == want
-        assert evaluate(model, batch.summary(), model.attuned_pool()) == want
+        assert evaluate(model, batch, model.attuned_pool()) == want
         # a label outside the prototype set still raises
         batch.labels[3] = 3
         with pytest.raises(ValueError, match="label out of range"):
@@ -671,11 +672,9 @@ class TestBatchSummary:
         want = token_logits(model, batch, p_att)
         summary = batch.summary()
         assert len(summary) == 50 and summary.tokens == tokens
-        for source in (batch, summary):
-            loss, logits = forward_loss(model, source, p_att)
-            assert logits.tobytes() == want.tobytes()
-            assert evaluate(model, source, p_att) == float(np.mean(want.argmax(axis=1) == batch.labels))
-        assert forward_loss(model, summary)[0] == forward_loss(model, batch)[0]
+        _, logits = forward_loss(model, summary, p_att)
+        assert logits.tobytes() == want.tobytes()
+        assert evaluate(model, summary, p_att) == float(np.mean(want.argmax(axis=1) == batch.labels))
 
     @pytest.mark.parametrize("tokens", [1, 2, 4])
     def test_summary_of_rows_is_those_rows_of_the_summary(self, tokens):
@@ -692,7 +691,7 @@ class TestBatchSummary:
         p_att = model.attuned_pool()
         _, logits = forward_loss(model, rows_of_whole, p_att)
         assert logits.tobytes() == token_logits(model, part, p_att).tobytes()
-        assert evaluate(model, rows_of_whole, p_att) == evaluate(model, part, p_att)
+        assert evaluate(model, rows_of_whole, p_att) == evaluate(model, part.summary(), p_att)
 
     @pytest.mark.parametrize("shape", [(64, 4, 768), (20, 1, 16)])
     def test_taken_rows_and_a_minibatch_are_the_summary_of_their_embeddings(self, shape):
@@ -722,6 +721,16 @@ class TestBatchSummary:
         assert alone.unit_sums.tobytes() == want.unit_sums[:b // 2].tobytes()
         assert alone.means.tobytes() == want.means[:b // 2].tobytes()
 
+    @pytest.mark.parametrize("run", [forward_loss, loss_gradients, train_step, evaluate],
+                             ids=lambda run: run.__name__)
+    def test_tokens_are_not_a_batch_form_of_the_learner(self, run):
+        # the learner reads a batch only through its summary
+        model = small_model()
+        before = model.prototypes.copy()
+        with pytest.raises(AttributeError, match="unit_sums"):
+            run(model, random_batch(26))
+        npt.assert_array_equal(model.prototypes, before)
+
     def test_summary_rejects_label_out_of_range(self):
         model = small_model(n_classes=3)
         summary = random_batch(14, n_classes=3).summary()
@@ -740,7 +749,7 @@ def test_loss_gradients_holds_two_stacked_attunement_arrays():
     n, lp, d, r = 50, 4, 256, 3
     model = PrototypeModel.init_random(n_classes=4, dim=d, pool_count=n, pool_length=lp,
                                        num_experts=r, rng=substream(50, "model"))
-    batch = random_batch(50, b=8, tokens=2, dim=d, n_classes=4)
+    batch = random_batch(50, b=8, tokens=2, dim=d, n_classes=4).summary()
     want = loss_gradients(model, batch)
     stacked = 8 * r * n * lp * d
     slack = 8 * (r * n * d + 8 * n * d)
@@ -765,7 +774,7 @@ def test_loss_gradients_forward_holds_one_expert_groups_pre_activations(monkeypa
     n, lp, d, r = 50, 4, 256, 3
     model = PrototypeModel.init_random(n_classes=4, dim=d, pool_count=n, pool_length=lp,
                                        num_experts=r, rng=substream(50, "model"))
-    batch = random_batch(50, b=8, tokens=2, dim=d, n_classes=4)
+    batch = random_batch(50, b=8, tokens=2, dim=d, n_classes=4).summary()
     want = loss_gradients(model, batch)
     attune, peaks = learner.attune, []
 
