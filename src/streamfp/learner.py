@@ -27,7 +27,6 @@ from .core_math import (  # noqa: F401
 from .fingerprints import (
     AttunementParams,
     FingerprintPool,
-    aggregate,
     attune,
     attune_backward,
 )
@@ -260,15 +259,9 @@ class PrototypeModel:
     prototypes: np.ndarray  # (K_cls, D)
     pool: FingerprintPool
     attn: AttunementParams
-    learning_rate: float = 0.001
-    grad_steps: int = 1
 
     def __post_init__(self):
         self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
-        if not 0 <= self.learning_rate < math.inf:  # a NaN fails it too
-            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
-        if not isinstance(self.grad_steps, numbers.Integral) or self.grad_steps < 1:
-            raise ValueError(f"grad_steps must be an integer >= 1, got {self.grad_steps!r}")
 
     def attuned_pool(self, with_cache=False):
         """The attuned fingerprints summed over their length, shape (N, D):
@@ -290,14 +283,11 @@ class PrototypeModel:
         )
 
     @classmethod
-    def init_random(cls, n_classes, dim, pool_count, pool_length, num_experts, rng,
-                    learning_rate=0.001, grad_steps=1):
+    def init_random(cls, n_classes, dim, pool_count, pool_length, num_experts, rng):
         return cls(
             prototypes=0.01 * rng.standard_normal((n_classes, dim)),
             pool=FingerprintPool.init_random(pool_count, pool_length, dim, rng),
             attn=AttunementParams.init_random(dim, num_experts, rng),
-            learning_rate=learning_rate,
-            grad_steps=grad_steps,
         )
 
 
@@ -389,23 +379,26 @@ def loss_gradients(model, summary, attuned=None):
     return loss, grad_proto, grad_pool, grad_gate
 
 
-def train_step(model, summary, attuned=None):
-    """``model.grad_steps`` steps of gradient descent on {prototypes, pool,
-    gate} of a :class:`BatchSummary`, in place, at any learning rate: at 0
-    no parameter moves, since ``x - 0.0 * g == x`` for a finite gradient.
-    Returns the loss of the last step, before its update.
+def train_step(model, summary, learning_rate, grad_steps, attuned=None):
+    """``grad_steps`` steps of gradient descent on {prototypes, pool, gate}
+    of a :class:`BatchSummary`, in place, at any finite ``learning_rate``
+    >= 0: at 0 no parameter moves, since ``x - 0.0 * g == x`` for a finite
+    gradient. Returns the loss of the last step, before its update. Either
+    setting out of range raises ``ValueError`` naming it, before any step.
 
     ``attuned`` is ``model.attuned_pool(with_cache=True)`` at the model's
     current parameters; the first step reads it instead of attuning, and
     the reference is dropped after that step.
     """
-    eta = model.learning_rate
-    loss = None
-    for _ in range(model.grad_steps):
+    if not 0 <= learning_rate < math.inf:  # a NaN fails it too
+        raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate!r}")
+    if not isinstance(grad_steps, numbers.Integral) or grad_steps < 1:
+        raise ValueError(f"grad_steps must be an integer >= 1, got {grad_steps!r}")
+    for _ in range(grad_steps):
         loss, g_proto, g_pool, g_gate = loss_gradients(model, summary, attuned)
-        model.prototypes -= eta * g_proto
-        model.pool.weights -= eta * g_pool
-        model.attn.gate -= eta * g_gate
+        model.prototypes -= learning_rate * g_proto
+        model.pool.weights -= learning_rate * g_pool
+        model.attn.gate -= learning_rate * g_gate
         attuned = None
     return loss
 

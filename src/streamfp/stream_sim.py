@@ -365,6 +365,76 @@ def select(selector, sigma, summary, fingerprints, rng):
     return select_coreset(s, sigma).indices, s
 
 
+class BatchRunner:
+    """The per-batch state of one run: the model it trains, its own buffer,
+    the ``(selection, retrieval, buffer)`` generators it draws from, its
+    stage ``timings``, and ``attuned``, the ``(p_agg, cache or None)`` of
+    the model's current parameters, or None. Each layer is looked up in
+    this module when called, so a wrapper set on it sees every call."""
+
+    def __init__(self, config, model, rngs):
+        self.config, self.model = config, model
+        self.buffer = RehearsalBuffer(config.buffer_size)
+        self.selection_rng, self.retrieval_rng, self.buffer_rng = rngs
+        self.timings = {"selection": 0.0, "train": 0.0, "buffer": 0.0, "eval": 0.0}
+        self.attuned = None
+
+    def attuned_pool(self, with_cache):
+        """The attuned pool of the model's current parameters, attuned only
+        where no attunement of them is held. With ``with_cache``, a new
+        attunement keeps its cache for the next step."""
+        if self.attuned is None:
+            self.attuned = (self.model.attuned_pool(with_cache=True) if with_cache
+                            else (self.model.attuned_pool(), None))
+        return self.attuned[0]
+
+    def step(self, batch, sigma):
+        """One retained batch: a coreset at ``sigma``, a training step on it
+        and a buffer mini-batch, then the buffer update over the batch."""
+        config, model, buffer = self.config, self.model, self.buffer
+        t0 = time.perf_counter()
+        # the batch's one summary: everything below reads its rows
+        summary = batch.summary()
+        sel_idx, s = select(
+            config.selector, sigma, summary, aggregate(model.pool), self.selection_rng)
+        t1 = time.perf_counter()
+        # a held cache feeds this step, and is freed when the step returns;
+        # the step changes the parameters, so no attunement is held after it
+        attuned, self.attuned = self.attuned, None
+        train_step(model, summary.take(sel_idx, buffer.minibatch(len(sel_idx), self.retrieval_rng)),
+                   config.learning_rate, config.grad_steps,
+                   attuned=attuned if attuned and attuned[1] is not None else None)
+        del attuned
+        t2 = time.perf_counter()
+        if config.buffer_policy == "streamfp":
+            # only the exchange ranks the residents, and it runs on them only
+            # for an offer that overflows a non-empty buffer. The residents
+            # are scored against the pool after this batch's training step;
+            # under the streamfp selector the batch keeps its selection
+            # scores, from the pool before it. So the offer that overflows a
+            # partly filled buffer ranks both kinds in one drop ranking: the
+            # residents beside the rows that filled the room (at b=20 and
+            # m=102, the 6th offer: 2 rows fill it after 100 residents)
+            overflows = buffer.overflows(len(batch))
+            p_agg = aggregate(model.pool) if s is None or overflows else None
+            if s is None:
+                s = sum_similarity(summary.unit_sums, p_agg, summary.tokens)
+            # residents' embeddings never change, and the buffer stores the
+            # unit-token sums of each batch's summary with them, so only the
+            # fingerprint side is new
+            s_buf = (sum_similarity(buffer.unit_token_sums(), p_agg, config.tokens)
+                     if overflows else None)
+            update_buffer(buffer, batch, s, s_buf, self.buffer_rng, summary.unit_sums)
+        elif config.buffer_policy == "reservoir":
+            reservoir_update(buffer, batch, self.buffer_rng, summary.unit_sums)
+        elif config.buffer_policy == "keep_first":
+            keep_first_update(buffer, batch, summary.unit_sums)
+        t3 = time.perf_counter()
+        self.timings["selection"] += t1 - t0
+        self.timings["train"] += t2 - t1
+        self.timings["buffer"] += t3 - t2
+
+
 def run_experiment(config):
     """Execute one full stream run and return its MetricsReport.
 
@@ -380,10 +450,8 @@ def run_experiment(config):
 
     t_start = time.perf_counter()
     seed = config.seed
-    sel_rng = substream(seed, "selection")
-    buf_rng = substream(seed, "buffer")
-    skip_rng = substream(seed, "skip")
-    retrieval_rng = substream(seed, "retrieval")
+    # the generators of the run's BatchRunner, and of the warm-up's
+    rngs = tuple(substream(seed, label) for label in ("selection", "retrieval", "buffer"))
 
     # the class geometry that the stream and the eval sets share
     geometry = dict(
@@ -411,8 +479,6 @@ def run_experiment(config):
         pool_length=config.fingerprint_length,
         num_experts=config.num_experts,
         rng=substream(seed, "init"),
-        learning_rate=config.learning_rate,
-        grad_steps=config.grad_steps,
     )
 
     num_batches = config.num_batches
@@ -425,71 +491,11 @@ def run_experiment(config):
         start = (batch_idx - task * batches_per_task) * config.batch_size
         return embedder.embed(task, np.arange(start, start + config.batch_size))
 
-    def run_batch(model, buffer, batch, timings, sigma, handoff=()):
-        """One retained batch. A non-empty ``handoff`` holds the model's
-        ``attuned_pool(with_cache=True)``; it is popped into the training
-        step, so the cache is freed as soon as that step returns."""
-        t0 = time.perf_counter()
-        # the batch's one summary: everything below reads its rows
-        summary = batch.summary()
-        sel_idx, s = select(
-            config.selector, sigma, summary, aggregate(model.pool), sel_rng)
-        t1 = time.perf_counter()
-        train_step(model, summary.take(sel_idx, buffer.minibatch(len(sel_idx), retrieval_rng)),
-                   attuned=handoff.pop() if handoff else None)
-        t2 = time.perf_counter()
-        if config.buffer_policy == "streamfp":
-            # only the exchange ranks the residents, and it runs on them only
-            # for an offer that overflows a non-empty buffer. The residents
-            # are scored against the pool after this batch's training step;
-            # under the streamfp selector the batch keeps its selection
-            # scores, from the pool before it. So the offer that overflows a
-            # partly filled buffer ranks both kinds in one drop ranking: the
-            # residents beside the rows that filled the room (at b=20 and
-            # m=102, the 6th offer: 2 rows fill it after 100 residents)
-            p_agg = aggregate(model.pool)
-            if s is None:
-                s = sum_similarity(summary.unit_sums, p_agg, summary.tokens)
-            s_buf = None
-            if buffer.overflows(len(batch)):
-                # residents' embeddings never change, and the buffer stores
-                # the unit-token sums of each batch's summary with them, so
-                # only the fingerprint side is new
-                s_buf = sum_similarity(buffer.unit_token_sums(), p_agg, config.tokens)
-            update_buffer(buffer, batch, s, s_buf, buf_rng, summary.unit_sums)
-        elif config.buffer_policy == "reservoir":
-            reservoir_update(buffer, batch, buf_rng, summary.unit_sums)
-        elif config.buffer_policy == "keep_first":
-            keep_first_update(buffer, batch, summary.unit_sums)
-        t3 = time.perf_counter()
-        timings["selection"] += t1 - t0
-        timings["train"] += t2 - t1
-        timings["buffer"] += t3 - t2
-
-    # the stream batches the warm-up embedded, by index, for the main loop
-    held = {}
-
-    def warmup_batch_time():
-        """Median time of a batch on a throwaway copy of the run's model,
-        which shares its frozen MLP bank, and a throwaway buffer; both are
-        freed on return. Each stream batch it embeds stays in ``held``."""
-        warm_model = model.trainable_copy()
-        warm_buffer = RehearsalBuffer(config.buffer_size)
-        warm_timings = {"selection": 0.0, "train": 0.0, "buffer": 0.0}
-        per_batch = []
-        for w in range(config.warmup_batches):
-            batch_idx = w % num_batches
-            if batch_idx not in held:
-                held[batch_idx] = make_batch(batch_idx)
-            batch = held[batch_idx]
-            tw = time.perf_counter()
-            run_batch(warm_model, warm_buffer, batch, warm_timings, config.sigma)
-            per_batch.append(time.perf_counter() - tw)
-        return float(np.median(per_batch))
-
     # warm-up timing (or pinned measurement) -> C_S -> skip schedule. The
-    # warm-up draws from the run's own selection, retrieval and buffer
-    # generators before the run does. How many draws a batch makes is fixed
+    # warm-up times batches on a BatchRunner of its own, over a throwaway
+    # copy of the run's model (which shares its frozen MLP bank) and a
+    # throwaway buffer, but with the run's own three generators, so it draws
+    # from them before the run does. How many draws a batch makes is fixed
     # by b, sigma and the buffer fill, never by a similarity value: the
     # coreset size max(1, floor(sigma * b)), the retrieval mini-batch size,
     # the compute_update_count draws, and one uniform per weighted draw (rank
@@ -500,10 +506,20 @@ def run_experiment(config):
     # The batches it embedded reach the main loop unchanged: a batch is a pure
     # function of (seed, task, index), and nothing writes into one, so the run
     # takes the held copy instead of embedding it again.
+    held = {}
     if config.pinned_batch_time is not None:
         batch_time = config.pinned_batch_time
     else:
-        batch_time = warmup_batch_time()
+        warmup, per_batch = BatchRunner(config, model.trainable_copy(), rngs), []
+        for w in range(config.warmup_batches):
+            batch_idx = w % num_batches
+            if batch_idx not in held:
+                held[batch_idx] = make_batch(batch_idx)
+            tw = time.perf_counter()
+            warmup.step(held[batch_idx], config.sigma)
+            per_batch.append(time.perf_counter() - tw)
+        batch_time = float(np.median(per_batch))
+        del warmup  # its model copy and buffer
     # raises where C_S overflows, before the run trains on anything
     if config.c_s_override is not None:
         c_s = config.c_s_override
@@ -515,11 +531,11 @@ def run_experiment(config):
         retained = np.arange(num_batches)
         run_sigma = max(config.sigma / max(1.0, c_s), 1e-9)
     else:
-        retained = skip_schedule(num_batches, c_s, skip_rng)
+        retained = skip_schedule(num_batches, c_s, substream(seed, "skip"))
         run_sigma = config.sigma
     # free the held batches that the skip schedule drops
     held = {idx: held[idx] for idx in retained.tolist() if idx in held}
-    buffer = RehearsalBuffer(config.buffer_size)
+    runner = BatchRunner(config, model, rngs)
 
     # evaluation uses clean, balanced samples from the same class geometry,
     # in an index range disjoint from any training sample. A set is a pure
@@ -533,35 +549,23 @@ def run_experiment(config):
 
     # retained is sorted, so each task's batches run in stream order
     task_batches = [retained[task_of[retained] == task].tolist() for task in range(config.tasks)]
-    task_batches.append([])  # after the last task nothing trains
-    timings = {"selection": 0.0, "train": 0.0, "buffer": 0.0, "eval": 0.0}
     acc_rows = []
-    # each parameter state is attuned once where it can be: p_agg is the
-    # attuned pool of the model's current parameters (None once a step
-    # changes them), and handoff holds a checkpoint's (p_agg, cache) for the
-    # next task's first training step. A checkpoint whose next task trains
-    # nothing keeps p_agg alone for the next checkpoint, so the cache is
-    # never held through an eval set's summary
-    p_agg, handoff = None, []
     for task in range(config.tasks):
         for batch_idx in task_batches[task]:
             batch = held.pop(batch_idx) if batch_idx in held else make_batch(batch_idx)
-            run_batch(model, buffer, batch, timings, run_sigma, handoff)
-            p_agg = None
+            runner.step(batch, run_sigma)
         te = time.perf_counter()
         eval_sets.append(eval_embedder.summarize(task, eval_indices))
-        if p_agg is None:
-            if task_batches[task + 1]:
-                handoff.append(model.attuned_pool(with_cache=True))
-                p_agg = handoff[0][0]
-            else:
-                p_agg = model.attuned_pool()
-        # one attunement serves every eval set of this checkpoint
+        # one attunement serves every eval set of this checkpoint, and its
+        # cache the next task's first step, if that task trains
+        p_agg = runner.attuned_pool(
+            with_cache=task + 1 < config.tasks and bool(task_batches[task + 1]))
         acc_rows.append([evaluate(model, eval_set, p_agg) for eval_set in eval_sets])
-        timings["eval"] += time.perf_counter() - te
+        del p_agg  # the runner holds it until a step changes the parameters
+        runner.timings["eval"] += time.perf_counter() - te
 
     # every batch has batch_size rows
-    throughput = len(retained) * config.batch_size / max(timings["selection"], 1e-12)
+    throughput = len(retained) * config.batch_size / max(runner.timings["selection"], 1e-12)
     return MetricsReport(
         acc_rows=acc_rows,
         avg_accuracy=average_accuracy(acc_rows),
@@ -571,6 +575,6 @@ def run_experiment(config):
         total_batches=num_batches,
         selection_throughput_sps=float(throughput),
         total_runtime_s=time.perf_counter() - t_start,
-        stage_seconds=timings,
+        stage_seconds=runner.timings,
         batch_time_s=float(batch_time),
     )

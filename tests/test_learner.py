@@ -9,7 +9,6 @@ import numpy.testing as npt
 import pytest
 
 from streamfp import learner, stream_sim
-from streamfp.fingerprints import AttunementParams, FingerprintPool
 from streamfp.core_math import (
     NORM_EPS,
     batch_similarity,
@@ -34,10 +33,10 @@ from streamfp.seeding import substream
 from test_fingerprints import per_expert_backward, reference_attune, reference_attune_backward
 
 
-def small_model(seed=1, n_classes=3, dim=4, lr=0.1):
+def small_model(seed=1, n_classes=3, dim=4):
     return PrototypeModel.init_random(
         n_classes=n_classes, dim=dim, pool_count=2, pool_length=2,
-        num_experts=2, rng=substream(seed, "model"), learning_rate=lr,
+        num_experts=2, rng=substream(seed, "model"),
     )
 
 
@@ -191,7 +190,7 @@ class TestForwardLoss:
             loss_gradients(model, batch)
         before = model.prototypes.copy()
         with pytest.raises(ValueError, match="label out of range"):
-            train_step(model, batch)
+            train_step(model, batch, 0.1, 1)
         npt.assert_array_equal(model.prototypes, before)
 
     @pytest.mark.parametrize("labels", [[0.7, 1.9, 0.0], [True, False, True]],
@@ -205,15 +204,15 @@ class TestForwardLoss:
         before = model.prototypes.copy()
         for run in (forward_loss, loss_gradients, train_step, evaluate):
             with pytest.raises(ValueError, match="labels must be integers"):
-                run(model, batch)
+                run(model, batch, *((0.1, 1) if run is train_step else ()))
         npt.assert_array_equal(model.prototypes, before)
 
     def test_loss_decreases_under_training(self):
-        model = small_model(seed=15, lr=0.2)
+        model = small_model(seed=15)
         batch = random_batch(15).summary()
         loss0, _ = forward_loss(model, batch)
         for _ in range(30):
-            train_step(model, batch)
+            train_step(model, batch, 0.2, 1)
         loss1, _ = forward_loss(model, batch)
         assert loss1 < loss0
 
@@ -281,7 +280,7 @@ class TestLossGradientsGolden:
     def case(seed, b, tokens, dim, n_classes, pool_count=2, pool_length=2, experts=2):
         model = PrototypeModel.init_random(
             n_classes=n_classes, dim=dim, pool_count=pool_count, pool_length=pool_length,
-            num_experts=experts, rng=substream(seed, "model"), learning_rate=0.1,
+            num_experts=experts, rng=substream(seed, "model"),
         )
         return model, random_batch(seed, b=b, tokens=tokens, dim=dim, n_classes=n_classes)
 
@@ -385,22 +384,20 @@ def test_token_means_are_ndarray_mean_bits(tokens, dim, dtype):
 
 class TestTrainStep:
     def test_zero_learning_rate_freezes_params(self):
-        model = small_model(lr=0.0)
-        model.grad_steps = 3
+        model = small_model()
         before = (model.prototypes.tobytes(), model.pool.weights.tobytes(),
                   model.attn.gate.tobytes())
-        train_step(model, random_batch(17).summary())
+        train_step(model, random_batch(17).summary(), 0.0, 3)
         after = (model.prototypes.tobytes(), model.pool.weights.tobytes(),
                  model.attn.gate.tobytes())
         assert before == after
 
     def test_multi_step_moves_further(self):
         batch = random_batch(18).summary()
-        m1 = small_model(seed=18, lr=0.05)
-        m2 = small_model(seed=18, lr=0.05)
-        m2.grad_steps = 4
-        train_step(m1, batch)
-        train_step(m2, batch)
+        m1 = small_model(seed=18)
+        m2 = small_model(seed=18)
+        train_step(m1, batch, 0.05, 1)
+        train_step(m2, batch, 0.05, 4)
         d1 = np.linalg.norm(m1.prototypes - small_model(seed=18).prototypes)
         d2 = np.linalg.norm(m2.prototypes - small_model(seed=18).prototypes)
         assert d2 > d1
@@ -411,10 +408,7 @@ class TestTrainStep:
         copy = model.trainable_copy()
         assert copy.attn.keys is model.attn.keys
         assert copy.attn.values is model.attn.values
-        assert (copy.learning_rate, copy.grad_steps) == \
-            (model.learning_rate, model.grad_steps)
-        copy.grad_steps = 2
-        train_step(copy, random_batch(24).summary())
+        train_step(copy, random_batch(24).summary(), 0.1, 2)
         assert not np.array_equal(copy.prototypes, before[0])
         assert not np.array_equal(copy.pool.weights, before[1])
         assert not np.array_equal(copy.attn.gate, before[2])
@@ -425,17 +419,15 @@ class TestTrainStep:
     @pytest.mark.parametrize("steps, lr", [(1, 0.1), (3, 0.1), (3, 0.0)], ids=["K1", "K3", "lr0"])
     def test_handed_attunement_is_the_first_steps_own(self, steps, lr, monkeypatch):
         batch = random_batch(25, b=12).summary()
-        models = [small_model(seed=25, lr=lr) for _ in range(2)]
-        for model in models:
-            model.grad_steps = steps
+        models = [small_model(seed=25) for _ in range(2)]
         handed = models[0].attuned_pool(with_cache=True)
         calls = []
         original = learner.attune
         monkeypatch.setattr(learner, "attune",
                             lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
-        handed_loss = train_step(models[0], batch, attuned=handed)
+        handed_loss = train_step(models[0], batch, lr, steps, attuned=handed)
         handed_calls = len(calls)
-        own_loss = train_step(models[1], batch)
+        own_loss = train_step(models[1], batch, lr, steps)
         assert handed_loss == own_loss
         handed_state, own_state = (
             (m.prototypes.tobytes(), m.pool.weights.tobytes(), m.attn.gate.tobytes())
@@ -444,27 +436,32 @@ class TestTrainStep:
         # only the first step reads it
         assert (handed_calls, len(calls) - handed_calls) == (steps - 1, steps)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PrototypeModel(np.zeros((2, 3)),
-                           FingerprintPool(np.zeros((1, 2, 3))),
-                           AttunementParams(np.zeros((3, 1)),
-                                            np.zeros((1, 3, 3)),
-                                            np.zeros((1, 3, 3))),
-                           learning_rate=-0.1)
+    @pytest.mark.parametrize("settings, name", [
+        ((float("nan"), 1), "learning_rate"),
+        ((float("inf"), 1), "learning_rate"),
+        ((-0.1, 1), "learning_rate"),
+        ((0.1, 0), "grad_steps"),
+        ((0.1, 1.5), "grad_steps"),
+    ], ids=["learning-rate-nan", "learning-rate-inf", "learning-rate-negative",
+            "grad-steps-0", "grad-steps-1.5"])
+    def test_bad_settings_raise_on_every_call_naming_them(self, settings, name):
+        # unchecked, NaN < 0 is False, an infinite rate trains to NaN
+        # parameters, a negative one ascends the loss, 0 steps train nothing
+        # and return None, and 1.5 steps fail only inside range()
+        model, batch = small_model(seed=27), random_batch(27).summary()
+        train_step(model, batch, 0.1, 1)  # a valid call before does not let it pass
+        arrays = (model.prototypes, model.pool.weights, model.attn.gate)  # updated in place
+        before = [a.tobytes() for a in arrays]
+        with pytest.raises(ValueError, match=name):
+            train_step(model, batch, *settings)
+        assert [a.tobytes() for a in arrays] == before
 
 
 @pytest.mark.parametrize("build, name", [
     (lambda: RehearsalBuffer(2.5), "capacity"),
-    (lambda: small_model(lr=float("nan")), "learning_rate"),
-    (lambda: small_model(lr=float("inf")), "learning_rate"),
-    (lambda: PrototypeModel.init_random(3, 4, 2, 2, 2, substream(1, "model"), grad_steps=1.5),
-     "grad_steps"),
-], ids=["capacity-2.5", "learning-rate-nan", "learning-rate-inf", "grad-steps-1.5"])
+], ids=["capacity-2.5"])
 def test_bad_library_input_raises_at_construction_naming_it(build, name):
-    # each used to be accepted: the buffer held int(2.5) = 2, NaN < 0 is
-    # False, an infinite rate trained to NaN parameters, and 1.5 steps
-    # failed only later, inside range()
+    # it used to be accepted: the buffer held int(2.5) = 2
     with pytest.raises(ValueError, match=name):
         build()
 
@@ -515,11 +512,9 @@ class TestEvaluate:
         emb = SyntheticEmbedder(seed=20, n_classes=2, dim=8, tokens=1,
                                 n_tasks=1, noise_std=0.0)
         train = emb.embed(0, np.arange(40)).summary()
-        model = PrototypeModel.init_random(2, 8, 2, 2, 2,
-                                           substream(20, "m"),
-                                           learning_rate=0.5)
+        model = PrototypeModel.init_random(2, 8, 2, 2, 2, substream(20, "m"))
         for _ in range(50):
-            train_step(model, train)
+            train_step(model, train, 0.5, 1)
         assert evaluate(model, emb.summarize(0, np.arange(100, 140))) == 1.0
 
     def test_deterministic(self):
@@ -543,7 +538,8 @@ class TestEvaluate:
         # every training step and every eval set attunes for itself, as
         # before a checkpoint's attunement was shared
         monkeypatch.setattr(stream_sim, "train_step",
-                            lambda model, batch, attuned=None: train_step(model, batch))
+                            lambda model, batch, *settings, attuned=None:
+                            train_step(model, batch, *settings))
         monkeypatch.setattr(stream_sim, "evaluate",
                             lambda model, batch, p_agg=None: evaluate(model, batch))
         assert [stream_sim.run_experiment(config).acc_rows for config in configs] == shared
@@ -585,13 +581,13 @@ class TestEvaluate:
         # with a stale pool, so it is compared directly
         handed = []
 
-        def checking_step(model, batch, attuned=None):
+        def checking_step(model, batch, *settings, attuned=None):
             if attuned is not None:
                 fresh = model.attuned_pool(with_cache=True)
                 assert [a.tobytes() for a in (attuned[0], *attuned[1])] == [
                     a.tobytes() for a in (fresh[0], *fresh[1])]
                 handed.append(1)
-            return train_step(model, batch, attuned=attuned)
+            return train_step(model, batch, *settings, attuned=attuned)
 
         def checking_evaluate(model, batch, p_agg=None):
             assert p_agg.tobytes() == model.attuned_pool().tobytes()
@@ -728,7 +724,7 @@ class TestBatchSummary:
         model = small_model()
         before = model.prototypes.copy()
         with pytest.raises(AttributeError, match="unit_sums"):
-            run(model, random_batch(26))
+            run(model, random_batch(26), *((0.1, 1) if run is train_step else ()))
         npt.assert_array_equal(model.prototypes, before)
 
     def test_summary_rejects_label_out_of_range(self):

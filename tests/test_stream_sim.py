@@ -453,6 +453,33 @@ class TestWarmup:
         run_experiment(StreamConfig(**GOLDEN_UNPINNED[0][0]))
         assert len(calls) == 1
 
+    @staticmethod
+    def runners(monkeypatch, pinned_batch_time):
+        """The (model, rngs) of each BatchRunner that a GOLDEN_UNPINNED run
+        builds, in order."""
+        built, runner = [], stream_sim.BatchRunner
+
+        def recording(config, model, rngs):
+            built.append((model, rngs))
+            return runner(config, model, rngs)
+
+        monkeypatch.setattr(stream_sim, "BatchRunner", recording)
+        run_experiment(StreamConfig(**{**GOLDEN_UNPINNED[0][0],
+                                       "pinned_batch_time": pinned_batch_time}))
+        return built
+
+    def test_unpinned_warmup_draws_from_the_runs_generators(self, monkeypatch):
+        # the coupling that GOLDEN_UNPINNED records: the warm-up's runner
+        # trains a copy of the model on the run's own three generators
+        (warm_model, warm_rngs), (model, rngs) = self.runners(monkeypatch, None)
+        assert warm_model is not model
+        assert len(rngs) == len({id(rng) for rng in rngs}) == 3
+        assert all(isinstance(rng, np.random.Generator) for rng in rngs)
+        assert all(warm is rng for warm, rng in zip(warm_rngs, rngs, strict=True))
+
+    def test_pinned_run_builds_one_runner(self, monkeypatch):
+        assert len(self.runners(monkeypatch, 1e-9)) == 1
+
 
 class TestWarmupBatchReuse:
     """The main loop runs the stream batches that the warm-up embedded, so
